@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
   // by), then every supported optimized tier in ascending order.
   std::vector<strategies::Tier> tiers = {strategies::Tier::kBitloop};
   for (const strategies::Tier t :
-       {strategies::Tier::kScalar, strategies::Tier::kSse42,
-        strategies::Tier::kAvx2}) {
+       {strategies::Tier::kScalar, strategies::Tier::kAvx2}) {
     if (strategies::TierSupported(t)) tiers.push_back(t);
   }
 

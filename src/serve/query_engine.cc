@@ -10,18 +10,19 @@ namespace utcq::serve {
 
 namespace {
 
-/// Cache key: corpus shard in the high half, local index in the low half.
-uint64_t CacheKey(uint32_t shard, uint32_t local) {
-  return (static_cast<uint64_t>(shard) << 32) | local;
-}
+/// Borrows a single corpus's processor as a live tail: the engine serves
+/// it as a snapshot with no sealed part. The caller keeps `qp` alive.
+class BorrowedTail final : public LiveTail {
+ public:
+  explicit BorrowedTail(const core::UtcqQueryProcessor& qp) : qp_(qp) {}
+  const core::UtcqQueryProcessor& queries() const override { return qp_; }
+  uint32_t count() const override {
+    return static_cast<uint32_t>(qp_.decoder().view().num_trajectories());
+  }
 
-/// Pseudo-shard of tier-mode cache keys. In tier mode *every* entry —
-/// sealed or live — is keyed by its global trajectory id: a sealed
-/// trajectory's decoded form never changes, so the very entry warmed while
-/// it was live keeps serving after the flush moves it into the sealed set,
-/// and across live-shard rebuilds. (A sealed archive set never reaches
-/// 2^32 - 1 real shards, so the pseudo-shard cannot collide.)
-constexpr uint32_t kTierKeyShard = 0xFFFFFFFFu;
+ private:
+  const core::UtcqQueryProcessor& qp_;
+};
 
 obs::MetricRegistry* ResolveRegistry(
     obs::MetricRegistry* requested,
@@ -72,13 +73,21 @@ QueryRequest QueryRequest::MakeRange(const network::Rect& region,
 
 QueryEngine::QueryEngine(const core::UtcqQueryProcessor& queries,
                          EngineOptions opts)
-    : single_(&queries), UTCQ_ENGINE_INIT(opts) {
+    : fixed_(std::make_shared<const TierSnapshot>(
+          TierSnapshot{nullptr, std::make_shared<BorrowedTail>(queries)})),
+      UTCQ_ENGINE_INIT(opts) {
   InitInstruments();
 }
 
+// The sealed part aliases `corpus` without owning it: the caller keeps the
+// set alive, as the constructor contract requires.
 QueryEngine::QueryEngine(const shard::ShardedCorpus& corpus,
                          EngineOptions opts)
-    : sharded_(&corpus), UTCQ_ENGINE_INIT(opts) {
+    : fixed_(std::make_shared<const TierSnapshot>(TierSnapshot{
+          std::shared_ptr<const shard::ShardedCorpus>(
+              std::shared_ptr<const void>(), &corpus),
+          nullptr})),
+      UTCQ_ENGINE_INIT(opts) {
   InitInstruments();
 }
 
@@ -104,66 +113,56 @@ void QueryEngine::InitInstruments() {
   batch_size_ = &reg.GetHistogram("serve.engine.batch_size");
 }
 
-size_t QueryEngine::num_trajectories() const {
-  if (tier_ != nullptr) return tier_->Acquire()->num_trajectories();
-  return sharded_ != nullptr
-             ? sharded_->num_trajectories()
-             : single_->decoder().view().num_trajectories();
+std::shared_ptr<const TierSnapshot> QueryEngine::Acquire() const {
+  return tier_ != nullptr ? tier_->Acquire() : fixed_;
 }
 
-size_t QueryEngine::TotalOf(const TierSnapshot* snap) const {
-  return snap != nullptr ? snap->num_trajectories() : num_trajectories();
+size_t QueryEngine::num_trajectories() const {
+  return Acquire()->num_trajectories();
 }
 
 QueryEngine::Target QueryEngine::Resolve(uint32_t global,
-                                         const TierSnapshot* snap) const {
-  if (snap != nullptr) {
-    const size_t sealed_n = snap->sealed_count();
-    if (global < sealed_n) {
-      const auto [s, local] = snap->sealed->Route(global);
-      return {&snap->sealed->shard_queries(s), s, local,
-              CacheKey(kTierKeyShard, global)};
-    }
-    const uint32_t local = global - static_cast<uint32_t>(sealed_n);
-    return {&snap->live->queries(), kTierKeyShard, local,
-            CacheKey(kTierKeyShard, global)};
+                                         const TierSnapshot& snap) {
+  const size_t sealed_n = snap.sealed_count();
+  if (global < sealed_n) {
+    const auto [s, local] = snap.sealed->Route(global);
+    return {&snap.sealed->shard_queries(s), local, global};
   }
-  if (sharded_ != nullptr) {
-    const auto [s, local] = sharded_->Route(global);
-    return {&sharded_->shard_queries(s), s, local, CacheKey(s, local)};
-  }
-  return {single_, 0, global, CacheKey(0, global)};
+  return {&snap.live->queries(), global - static_cast<uint32_t>(sealed_n),
+          global};
 }
 
 std::shared_ptr<const traj::DecodedTraj> QueryEngine::Pin(
-    const Target& target, PinAgg* agg) {
+    const Target& target, PinAgg& agg) {
   const core::UtcqQueryProcessor* qp = target.qp;
   const uint32_t local = target.local;
   DecodedTrajCache::PinOutcome outcome;
   auto dt = cache_.GetOrDecode(
-      target.cache_key,
+      target.global,
       [qp, local] { return qp->decoder().DecodeTraj(local); }, &outcome);
-  if (agg != nullptr && !outcome.hit) {
-    common::MutexLock lock(agg->mu);
-    agg->decode_bytes += outcome.decoded_bytes;
-    agg->misses += 1;
+  if (!outcome.hit) {
+    common::MutexLock lock(agg.mu);
+    agg.decode_bytes += outcome.decoded_bytes;
+    agg.misses += 1;
   }
   return dt;
 }
 
-void QueryEngine::RecordPartial(const core::QueryStats& qs, PinAgg* agg) {
+void QueryEngine::RecordPartial(const core::QueryStats& qs, PinAgg& agg) {
   const uint64_t bytes = (qs.stream_bits_read + 7) / 8;
   partial_queries_->Increment();
   decode_bytes_partial_->Add(bytes);
   sync_seeks_->Add(qs.sync_seeks);
-  if (agg != nullptr && bytes > 0) {
-    common::MutexLock lock(agg->mu);
-    agg->decode_bytes += bytes;
+  if (bytes > 0) {
+    common::MutexLock lock(agg.mu);
+    agg.decode_bytes += bytes;
   }
 }
 
-void QueryEngine::FinishQuery(const QueryRequest& req, uint64_t latency_ns,
+void QueryEngine::FinishQuery(const QueryRequest& req, uint64_t start_ns,
                               PinAgg& agg) {
+  const uint64_t now_ns = clock_->NowNanos();
+  const uint64_t latency_ns = now_ns > start_ns ? now_ns - start_ns : 0;
   LatencyFor(req.kind).Record(latency_ns);
   uint64_t decode_bytes = 0;
   uint64_t misses = 0;
@@ -229,147 +228,101 @@ traj::RangeResult QueryEngine::Range(const network::Rect& region,
 }
 
 QueryResult QueryEngine::Execute(const QueryRequest& req) {
-  std::shared_ptr<const TierSnapshot> snap;
-  if (tier_ != nullptr) snap = tier_->Acquire();
-  return ExecuteOne(req, opts_.num_threads, snap.get());
-}
-
-QueryResult QueryEngine::ExecuteOne(const QueryRequest& req,
-                                    unsigned range_threads,
-                                    const TierSnapshot* snap) {
+  const std::shared_ptr<const TierSnapshot> snap = Acquire();
   const uint64_t start_ns = clock_->NowNanos();
   PinAgg agg;
   QueryResult result;
   result.kind = req.kind;
-  // A server-shaped API sees untrusted trajectory ids: out-of-range point
-  // queries answer empty instead of indexing past the routing table.
-  const bool routable =
-      req.kind == QueryKind::kRange || req.traj < TotalOf(snap);
-  if (routable) {
-    switch (req.kind) {
-      case QueryKind::kWhere: {
-        const Target target = Resolve(req.traj, snap);
-        // The uncached path rejects an out-of-window t from meta alone;
-        // pinning first would turn that O(1) rejection into a full decode.
-        const core::TrajMeta& meta =
-            target.qp->decoder().view().meta(target.local);
-        if (req.t < meta.t_first || req.t > meta.t_last) break;
-        if (PartialActive()) {
-          // Seek path: bracket through the sync table and decode only the
-          // qualifying instances — never the cache (a partial expansion
-          // cached under the full-decode key would poison later hits).
-          core::QueryStats qs;
-          result.where = target.qp->Where(target.local, req.t, req.alpha, &qs);
-          RecordPartial(qs, &agg);
-          break;
-        }
-        const auto dt = Pin(target, &agg);
-        result.where = target.qp->Where(target.local, req.t, req.alpha, *dt);
-        break;
-      }
-      case QueryKind::kWhen: {
-        const Target target = Resolve(req.traj, snap);
-        // Same principle as kWhere: the uncached path rejects a trajectory
-        // with no StIU tuples near the edge from the index alone (Lemma 1
-        // full skip) — keep that O(index) rejection ahead of the decode.
-        // Accepted edges re-walk this tuple prefix inside When's group
-        // construction; that duplicate index scan is orders cheaper than
-        // the decode the rejection avoids.
-        if (!target.qp->MayPassEdge(target.local, req.edge)) break;
-        if (PartialActive()) {
-          core::QueryStats qs;
-          result.when =
-              target.qp->When(target.local, req.edge, req.rd, req.alpha, &qs);
-          RecordPartial(qs, &agg);
-          break;
-        }
-        const auto dt = Pin(target, &agg);
-        result.when =
-            target.qp->When(target.local, req.edge, req.rd, req.alpha, *dt);
-        break;
-      }
-      case QueryKind::kRange:
-        result.range = RangeInternal(req.region, req.t, req.alpha,
-                                     range_threads, snap, &agg);
-        break;
-    }
+  if (req.kind == QueryKind::kRange) {
+    result.range = RangeInternal(req.region, req.t, req.alpha,
+                                 opts_.num_threads, *snap, agg);
+  } else if (req.traj < snap->num_trajectories()) {
+    // A server-shaped API sees untrusted trajectory ids: out-of-range point
+    // queries answer empty instead of indexing past the routing table.
+    std::shared_ptr<const traj::DecodedTraj> dt;
+    AnswerPoint(req, Resolve(req.traj, *snap), dt, agg, result);
   }
   queries_->Increment();
-  const uint64_t now_ns = clock_->NowNanos();
-  FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
+  FinishQuery(req, start_ns, agg);
   return result;
+}
+
+void QueryEngine::AnswerPoint(const QueryRequest& req, const Target& target,
+                              std::shared_ptr<const traj::DecodedTraj>& dt,
+                              PinAgg& agg, QueryResult& out) {
+  const core::UtcqQueryProcessor& qp = *target.qp;
+  if (req.kind == QueryKind::kWhere) {
+    // The uncached path rejects an out-of-window t from meta alone;
+    // pinning first would turn that O(1) rejection into a full decode.
+    const core::TrajMeta& meta = qp.decoder().view().meta(target.local);
+    if (req.t < meta.t_first || req.t > meta.t_last) return;
+  } else if (!qp.MayPassEdge(target.local, req.edge)) {
+    // Same principle for When: the uncached path rejects a trajectory with
+    // no StIU tuples near the edge from the index alone (Lemma 1 full
+    // skip). Accepted edges re-walk this tuple prefix inside When's group
+    // construction; that duplicate index scan is orders cheaper than the
+    // decode the rejection avoids.
+    return;
+  }
+  // Partial decode brackets through the sync table and decodes only the
+  // qualifying instances — never through the cache (a partial expansion
+  // cached under the full-decode key would poison later hits).
+  const bool partial = PartialActive();
+  if (!partial && dt == nullptr) dt = Pin(target, agg);
+  core::QueryStats qs;
+  if (req.kind == QueryKind::kWhere) {
+    out.where = partial ? qp.Where(target.local, req.t, req.alpha, &qs)
+                        : qp.Where(target.local, req.t, req.alpha, *dt);
+  } else {
+    out.when =
+        partial ? qp.When(target.local, req.edge, req.rd, req.alpha, &qs)
+                : qp.When(target.local, req.edge, req.rd, req.alpha, *dt);
+  }
+  if (partial) RecordPartial(qs, agg);
 }
 
 traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
                                              traj::Timestamp tq, double alpha,
                                              unsigned num_threads,
-                                             const TierSnapshot* snap,
-                                             PinAgg* agg) {
-  if (PartialActive()) {
-    // Cold bracket: no provider, so surviving members decode inline from
-    // the bitstreams (BracketTime seeks through the sync tables) and the
-    // cache is neither consulted nor populated.
-    core::QueryStats qs;
-    traj::RangeResult out;
-    if (snap != nullptr) {
-      if (snap->sealed != nullptr) {
-        out = snap->sealed->Range(region, tq, alpha, &qs, num_threads);
-      }
-      if (snap->live != nullptr) {
-        const uint32_t base = static_cast<uint32_t>(snap->sealed_count());
-        for (const uint32_t local :
-             snap->live->queries().Range(region, tq, alpha, &qs)) {
-          out.push_back(base + local);
-        }
-      }
-    } else if (sharded_ != nullptr) {
-      out = sharded_->Range(region, tq, alpha, &qs, num_threads);
-    } else {
-      out = single_->Range(region, tq, alpha, &qs);
+                                             const TierSnapshot& snap,
+                                             PinAgg& agg) {
+  // Partial decode hands both parts an empty provider: surviving members
+  // then decode inline from the bitstreams (BracketTime seeks through the
+  // sync tables) and the cache is neither consulted nor populated.
+  const bool partial = PartialActive();
+  core::QueryStats qs;
+  core::QueryStats* stats = partial ? &qs : nullptr;
+  // Sealed fan-out first, then the live tail; live hits are offset to
+  // global ids, and since every live id exceeds every sealed id the
+  // concatenation is already globally sorted.
+  traj::RangeResult out;
+  if (snap.sealed != nullptr) {
+    const shard::ShardedCorpus& sealed = *snap.sealed;
+    shard::ShardDecodedProvider provider;
+    if (!partial) {
+      provider = [this, &sealed, &agg](uint32_t s, uint32_t local) {
+        return Pin({&sealed.shard_queries(s), local,
+                    sealed.manifest().shards[s].members[local]},
+                   agg);
+      };
     }
-    RecordPartial(qs, agg);
-    return out;
+    out = sealed.Range(region, tq, alpha, stats, num_threads, provider);
   }
-  if (snap != nullptr) {
-    // Sealed fan-out first, then the live tail; live hits are offset to
-    // global ids, and since every live id exceeds every sealed id the
-    // concatenation is already globally sorted.
-    traj::RangeResult merged;
-    if (snap->sealed != nullptr) {
-      merged = snap->sealed->Range(
-          region, tq, alpha, nullptr, num_threads,
-          [this, snap, agg](uint32_t s, uint32_t local) {
-            const uint32_t global =
-                snap->sealed->manifest().shards[s].members[local];
-            return Pin({&snap->sealed->shard_queries(s), s, local,
-                        CacheKey(kTierKeyShard, global)},
-                       agg);
-          });
+  if (snap.live != nullptr) {
+    const core::UtcqQueryProcessor& live = snap.live->queries();
+    const uint32_t base = static_cast<uint32_t>(snap.sealed_count());
+    traj::DecodedProvider provider;
+    if (!partial) {
+      provider = [this, &live, base, &agg](uint32_t local) {
+        return Pin({&live, local, base + local}, agg);
+      };
     }
-    if (snap->live != nullptr) {
-      const uint32_t base = static_cast<uint32_t>(snap->sealed_count());
-      const traj::RangeResult live_hits = snap->live->queries().Range(
-          region, tq, alpha, [this, snap, base, agg](uint32_t local) {
-            return Pin({&snap->live->queries(), kTierKeyShard, local,
-                        CacheKey(kTierKeyShard, base + local)},
-                       agg);
-          });
-      for (const uint32_t local : live_hits) merged.push_back(base + local);
-    }
-    return merged;
+    const traj::RangeResult hits =
+        live.Range(region, tq, alpha, provider, stats);
+    for (const uint32_t local : hits) out.push_back(base + local);
   }
-  if (sharded_ != nullptr) {
-    return sharded_->Range(
-        region, tq, alpha, nullptr, num_threads,
-        [this, agg](uint32_t s, uint32_t local) {
-          return Pin({&sharded_->shard_queries(s), s, local,
-                      CacheKey(s, local)},
-                     agg);
-        });
-  }
-  return single_->Range(region, tq, alpha, [this, agg](uint32_t j) {
-    return Pin({single_, 0, j, CacheKey(0, j)}, agg);
-  });
+  if (partial) RecordPartial(qs, agg);
+  return out;
 }
 
 std::vector<QueryResult> QueryEngine::ExecuteBatch(
@@ -378,8 +331,7 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
 
   // One snapshot for the whole batch: every request is answered against
   // the same live+sealed split even while ingestion seals and flushes.
-  std::shared_ptr<const TierSnapshot> snap;
-  if (tier_ != nullptr) snap = tier_->Acquire();
+  const std::shared_ptr<const TierSnapshot> snap = Acquire();
 
   // Group point queries by target trajectory so each trajectory's decode
   // (or cache fetch) happens once per batch regardless of how requests
@@ -387,14 +339,18 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   std::vector<std::pair<uint32_t, std::vector<uint32_t>>> groups;
   std::unordered_map<uint32_t, size_t> group_of;
   std::vector<uint32_t> ranges;
-  const size_t total = TotalOf(snap.get());
+  const size_t total = snap->num_trajectories();
   for (uint32_t i = 0; i < requests.size(); ++i) {
+    results[i].kind = requests[i].kind;
     if (requests[i].kind == QueryKind::kRange) {
       ranges.push_back(i);
       continue;
     }
-    if (requests[i].traj >= total) {  // untrusted id: answer empty
-      results[i].kind = requests[i].kind;
+    if (requests[i].traj >= total) {
+      // Untrusted id: answer empty, with the one latency sample Execute
+      // records for the same request.
+      PinAgg agg;
+      FinishQuery(requests[i], clock_->NowNanos(), agg);
       continue;
     }
     const auto [it, inserted] =
@@ -411,65 +367,27 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
   const size_t units = groups.size() + ranges.size();
   const unsigned range_threads = units <= 1 ? opts_.num_threads : 1;
   common::ParallelFor(units, opts_.num_threads, [&](size_t u) {
-    if (u >= ranges.size()) {
-      const auto& [traj_idx, members] = groups[u - ranges.size()];
-      const Target target = Resolve(traj_idx, snap.get());
-      const core::TrajMeta& meta =
-          target.qp->decoder().view().meta(target.local);
-      // Pinned by the first request that survives its cheap rejection —
-      // the decode lands in that request's latency sample and pin
-      // attribution, matching Execute()'s accounting, and a group of
-      // all-rejected requests never decodes at all.
-      std::shared_ptr<const traj::DecodedTraj> dt;
-      for (const uint32_t i : members) {
-        const QueryRequest& req = requests[i];
-        const uint64_t start_ns = clock_->NowNanos();
-        PinAgg agg;
-        const auto pinned = [&]() -> const traj::DecodedTraj& {
-          if (dt == nullptr) dt = Pin(target, &agg);
-          return *dt;
-        };
-        results[i].kind = req.kind;
-        if (PartialActive()) {
-          // Same uncached calls as Execute()'s partial branch; requests
-          // the cheap meta/index rejection dismisses don't count as
-          // partial queries there either.
-          core::QueryStats qs;
-          bool attempted = false;
-          if (req.kind == QueryKind::kWhere) {
-            if (req.t >= meta.t_first && req.t <= meta.t_last) {
-              results[i].where =
-                  target.qp->Where(target.local, req.t, req.alpha, &qs);
-              attempted = true;
-            }
-          } else if (target.qp->MayPassEdge(target.local, req.edge)) {
-            results[i].when = target.qp->When(target.local, req.edge, req.rd,
-                                              req.alpha, &qs);
-            attempted = true;
-          }
-          if (attempted) RecordPartial(qs, &agg);
-        } else if (req.kind == QueryKind::kWhere) {
-          if (req.t >= meta.t_first && req.t <= meta.t_last) {
-            results[i].where =
-                target.qp->Where(target.local, req.t, req.alpha, pinned());
-          }
-        } else if (target.qp->MayPassEdge(target.local, req.edge)) {
-          results[i].when = target.qp->When(target.local, req.edge, req.rd,
-                                            req.alpha, pinned());
-        }
-        const uint64_t now_ns = clock_->NowNanos();
-        FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
-      }
-    } else {
-      const uint32_t i = ranges[u];
-      const QueryRequest& req = requests[i];
+    if (u < ranges.size()) {
+      const QueryRequest& req = requests[ranges[u]];
       const uint64_t start_ns = clock_->NowNanos();
       PinAgg agg;
-      results[i].kind = req.kind;
-      results[i].range = RangeInternal(req.region, req.t, req.alpha,
-                                       range_threads, snap.get(), &agg);
-      const uint64_t now_ns = clock_->NowNanos();
-      FinishQuery(req, now_ns > start_ns ? now_ns - start_ns : 0, agg);
+      results[ranges[u]].range = RangeInternal(
+          req.region, req.t, req.alpha, range_threads, *snap, agg);
+      FinishQuery(req, start_ns, agg);
+      return;
+    }
+    const auto& [traj_idx, members] = groups[u - ranges.size()];
+    const Target target = Resolve(traj_idx, *snap);
+    // Pinned by the first request that survives its cheap rejection — the
+    // decode lands in that request's latency sample and pin attribution,
+    // matching Execute()'s accounting, and a group of all-rejected
+    // requests never decodes at all.
+    std::shared_ptr<const traj::DecodedTraj> dt;
+    for (const uint32_t i : members) {
+      const uint64_t start_ns = clock_->NowNanos();
+      PinAgg agg;
+      AnswerPoint(requests[i], target, dt, agg, results[i]);
+      FinishQuery(requests[i], start_ns, agg);
     }
   });
 

@@ -133,11 +133,13 @@ struct EngineStats {
   }
 };
 
-/// The query-serving layer (DESIGN.md §9): sits above a single compressed
-/// corpus (CorpusView + StIU via UtcqQueryProcessor) or a sharded archive
-/// set, and amortizes the expensive step of every probabilistic query — the
-/// bitstream decode of the target trajectory — across repeated accesses
-/// through a byte-budgeted, sharded-LRU DecodedTrajCache.
+/// The query-serving layer (DESIGN.md §9): answers every request against
+/// one TierSnapshot — a sharded archive set (the sealed part) plus a live
+/// tail — and amortizes the expensive step of every probabilistic query,
+/// the bitstream decode of the target trajectory, across repeated accesses
+/// through a byte-budgeted, sharded-LRU DecodedTrajCache keyed by global
+/// trajectory id. A single corpus serves as a snapshot that is all tail,
+/// a sharded set as one with no tail.
 ///
 /// All entry points are safe to call from many threads concurrently: the
 /// underlying processors are immutable, the cache takes per-shard locks,
@@ -146,13 +148,15 @@ struct EngineStats {
 /// processor returns.
 class QueryEngine {
  public:
-  /// Serves a single corpus. `queries` (and everything it borrows) must
-  /// outlive the engine.
+  /// Serves a single corpus, as the live tail of a snapshot with no sealed
+  /// part. `queries` (and everything it borrows) must outlive the engine.
   explicit QueryEngine(const core::UtcqQueryProcessor& queries,
                        EngineOptions opts = {});
 
-  /// Serves an opened sharded archive set; point queries route to the
-  /// owning shard, Range fans out with the cache shared across shards.
+  /// Serves an opened sharded archive set, as the sealed part of a snapshot
+  /// with no live tail; point queries route to the owning shard, Range fans
+  /// out with the cache shared across shards. `corpus` must outlive the
+  /// engine.
   explicit QueryEngine(const shard::ShardedCorpus& corpus,
                        EngineOptions opts = {});
 
@@ -161,11 +165,10 @@ class QueryEngine {
   /// batch — so each request sees a consistent sealed-set/live-tail split
   /// while ingestion seals and flushes underneath. Point queries route by
   /// global id to whichever part currently owns it; Range merges the
-  /// sealed fan-out with the live tail's hits. Every decoded-cache entry
-  /// is keyed by global id in this mode, which stays valid across
-  /// live-shard rebuilds and across the flush that moves a trajectory into
-  /// the sealed set (its decoded form never changes) — flushing never
-  /// cools the cache.
+  /// sealed fan-out with the live tail's hits. The global-id cache key
+  /// stays valid across live-shard rebuilds and across the flush that
+  /// moves a trajectory into the sealed set (its decoded form never
+  /// changes) — flushing never cools the cache.
   explicit QueryEngine(const TierSource& tier, EngineOptions opts = {});
 
   size_t num_trajectories() const;
@@ -196,11 +199,11 @@ class QueryEngine {
   const EngineOptions& options() const { return opts_; }
 
  private:
+  /// Where a global trajectory id lives in the snapshot being served.
   struct Target {
     const core::UtcqQueryProcessor* qp = nullptr;
-    uint32_t shard = 0;
     uint32_t local = 0;
-    uint64_t cache_key = 0;
+    uint32_t global = 0;  // the cache key
   };
 
   /// Per-query pin cost, accumulated across every Pin the query takes
@@ -222,17 +225,23 @@ class QueryEngine {
   /// Folds one partial query's stream consumption into the obs counters
   /// and the per-query pin aggregation (for the decode_bytes histogram and
   /// slow-query log; cache miss accounting is untouched — no pin happened).
-  void RecordPartial(const core::QueryStats& qs, PinAgg* agg);
-  size_t TotalOf(const TierSnapshot* snap) const;
-  Target Resolve(uint32_t global, const TierSnapshot* snap) const;
+  void RecordPartial(const core::QueryStats& qs, PinAgg& agg);
+  /// The snapshot one call answers against: a fresh Acquire in tier mode,
+  /// the engine's fixed snapshot otherwise.
+  std::shared_ptr<const TierSnapshot> Acquire() const;
+  static Target Resolve(uint32_t global, const TierSnapshot& snap);
   std::shared_ptr<const traj::DecodedTraj> Pin(const Target& target,
-                                               PinAgg* agg);
-  QueryResult ExecuteOne(const QueryRequest& req, unsigned range_threads,
-                         const TierSnapshot* snap);
+                                               PinAgg& agg);
+  /// Answers one Where/When into `out`: the cheap meta/index rejection
+  /// first, then partial decode or the handle `dt`, pinned on first need
+  /// (a batch passes one `dt` through a whole group).
+  void AnswerPoint(const QueryRequest& req, const Target& target,
+                   std::shared_ptr<const traj::DecodedTraj>& dt, PinAgg& agg,
+                   QueryResult& out);
   traj::RangeResult RangeInternal(const network::Rect& region,
                                   traj::Timestamp tq, double alpha,
                                   unsigned num_threads,
-                                  const TierSnapshot* snap, PinAgg* agg);
+                                  const TierSnapshot& snap, PinAgg& agg);
   obs::Histogram& LatencyFor(QueryKind kind) {
     switch (kind) {
       case QueryKind::kWhere: return *latency_where_;
@@ -241,13 +250,14 @@ class QueryEngine {
     }
     return *latency_range_;
   }
-  /// Records one finished request: latency histogram, slow-query log.
-  void FinishQuery(const QueryRequest& req, uint64_t latency_ns,
-                   PinAgg& agg);
+  /// Records one finished request, started at `start_ns`: latency
+  /// histogram and slow-query log. Called exactly once per request.
+  void FinishQuery(const QueryRequest& req, uint64_t start_ns, PinAgg& agg);
 
-  const core::UtcqQueryProcessor* single_ = nullptr;
-  const shard::ShardedCorpus* sharded_ = nullptr;
+  /// Tier mode: the source every call acquires from. Otherwise null, and
+  /// every call answers against `fixed_`, built once at construction.
   const TierSource* tier_ = nullptr;
+  std::shared_ptr<const TierSnapshot> fixed_;
   EngineOptions opts_;
 
   /// Declared before the cache and instrument pointers: both borrow it.

@@ -13,14 +13,6 @@ namespace {
 // toolchain lacked the ISA flags reports the tier unsupported even on
 // capable hardware.
 
-bool CpuHasSse42() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("popcnt");
-#else
-  return false;
-#endif
-}
-
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
   // LZCNT (ABM) has shipped on every AVX2+BMI part ever made, and the
@@ -52,8 +44,6 @@ bool TierSupported(Tier tier) {
     case Tier::kBitloop:
     case Tier::kScalar:
       return true;
-    case Tier::kSse42:
-      return detail::Sse42Kernels() != nullptr && CpuHasSse42();
     case Tier::kAvx2:
       return detail::Avx2Kernels() != nullptr && CpuHasAvx2();
   }
@@ -61,9 +51,7 @@ bool TierSupported(Tier tier) {
 }
 
 Tier BestSupportedTier() {
-  if (TierSupported(Tier::kAvx2)) return Tier::kAvx2;
-  if (TierSupported(Tier::kSse42)) return Tier::kSse42;
-  return Tier::kScalar;
+  return TierSupported(Tier::kAvx2) ? Tier::kAvx2 : Tier::kScalar;
 }
 
 const Kernels* KernelsFor(Tier tier) {
@@ -73,8 +61,6 @@ const Kernels* KernelsFor(Tier tier) {
       return detail::BitloopKernels();
     case Tier::kScalar:
       return detail::ScalarKernels();
-    case Tier::kSse42:
-      return detail::Sse42Kernels();
     case Tier::kAvx2:
       return detail::Avx2Kernels();
   }
@@ -116,8 +102,6 @@ const char* TierName(Tier tier) {
       return "bitloop";
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse42:
-      return "sse42";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -129,8 +113,6 @@ bool ParseTier(std::string_view name, Tier* out) {
     *out = Tier::kBitloop;
   } else if (name == "scalar") {
     *out = Tier::kScalar;
-  } else if (name == "sse42") {
-    *out = Tier::kSse42;
   } else if (name == "avx2") {
     *out = Tier::kAvx2;
   } else {

@@ -20,13 +20,12 @@ namespace utcq::strategies {
 ///    are differential-pinned to.
 ///  - kScalar: portable word-at-a-time kernels (64-bit loads + shift/mask,
 ///    clz-based unary scans). The floor every build has.
-///  - kSse42: the same word kernels compiled for SSE4.2/POPCNT hardware.
 ///  - kAvx2: adds 256-bit batched kernels (multi-field extraction via
 ///    variable shifts, bit-unpacking, 4-wide double interpolation) and
 ///    LZCNT unary scans.
-enum class Tier : uint8_t { kBitloop = 0, kScalar = 1, kSse42 = 2, kAvx2 = 3 };
+enum class Tier : uint8_t { kBitloop = 0, kScalar = 1, kAvx2 = 2 };
 
-inline constexpr int kNumTiers = 4;
+inline constexpr int kNumTiers = 3;
 
 /// The dispatch table. Every kernel is bit-exact against the kBitloop
 /// reference: identical return values, identical cursor positions on
@@ -89,7 +88,7 @@ struct Kernels {
 
 /// The active table. Resolved exactly once, on first call: the best
 /// CPUID-supported tier, unless the UTCQ_STRATEGY environment variable
-/// names a supported tier ("scalar", "sse42", "avx2", "bitloop"). An env
+/// names a supported tier ("scalar", "avx2", "bitloop"). An env
 /// value naming an unsupported or unknown tier falls back to the best
 /// supported one (the strategy-matrix runner refuses to launch tests on
 /// hosts lacking the forced tier instead — SKIP, never a silent PASS).

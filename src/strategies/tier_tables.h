@@ -14,9 +14,8 @@ namespace utcq::strategies::detail {
 const Kernels* BitloopKernels();
 const Kernels* ScalarKernels();
 
-/// nullptr when the toolchain couldn't build this tier's TU with its ISA
+/// nullptr when the toolchain couldn't build the AVX2 TU with its ISA
 /// flags (the TU still compiles, as a stub, so the link never breaks).
-const Kernels* Sse42Kernels();
 const Kernels* Avx2Kernels();
 
 }  // namespace utcq::strategies::detail

@@ -142,8 +142,8 @@ namespace {
 }
 
 // ---------------------------------------------------------------------------
-// Word-at-a-time kernels (kScalar; recompiled with SSE4.2/AVX2 flags by the
-// higher tiers). Built on BitReader::PeekBits64, whose phantom-zero masking
+// Word-at-a-time kernels (kScalar; recompiled with AVX2 flags by the kAvx2
+// tier). Built on BitReader::PeekBits64, whose phantom-zero masking
 // of the stream tail makes run scans safe on untrusted archives.
 // ---------------------------------------------------------------------------
 

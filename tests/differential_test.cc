@@ -319,6 +319,17 @@ void RunWorkload(uint64_t seed) {
     RunPath(w.net, oracle, w.queries, PathOf("engine-sharded-cold", engine));
     RunPath(w.net, oracle, w.queries, PathOf("engine-sharded-warm", engine));
     RunBatch(w.net, oracle, w.queries, engine, "engine-sharded");
+
+    // The same set with partial decode forced on: every point query and
+    // Range bracket seeks the shards' bitstreams instead of pinning.
+    serve::EngineOptions popts;
+    popts.partial_decode = serve::PartialDecode::kAlways;
+    serve::QueryEngine partial(sharded, popts);
+    RunPath(w.net, oracle, w.queries,
+            PathOf("engine-sharded-partial", partial));
+    RunBatch(w.net, oracle, w.queries, partial, "engine-sharded-partial");
+    EXPECT_EQ(partial.stats().cache_resident_bytes, 0u)
+        << "partial decode leaked state into the full-decode cache";
   }
 
   // --- path 4: the serving engine over the single corpus ---
@@ -357,6 +368,15 @@ void RunWorkload(uint64_t seed) {
     serve::QueryEngine engine(tier);
     RunPath(w.net, oracle, w.queries, PathOf("tier-live+sealed", engine));
     RunBatch(w.net, oracle, w.queries, engine, "tier-live+sealed");
+
+    // Partial decode over both parts of the same snapshot.
+    serve::EngineOptions popts;
+    popts.partial_decode = serve::PartialDecode::kAlways;
+    serve::QueryEngine partial(tier, popts);
+    RunPath(w.net, oracle, w.queries, PathOf("tier-partial", partial));
+    RunBatch(w.net, oracle, w.queries, partial, "tier-partial");
+    EXPECT_EQ(partial.stats().cache_resident_bytes, 0u)
+        << "partial decode leaked state into the full-decode cache";
 
     // Flush the tail and reopen the append-log set from scratch: the
     // durable path must answer like everything else.

@@ -405,7 +405,10 @@ TEST(TedDecodedHandle, MatchesUncachedQueries) {
 
 TEST(QueryEngine, OutOfRangeTrajectoryAnswersEmpty) {
   ServeFixture& f = Fixture();
-  QueryEngine engine(f.sys->queries());
+  obs::MetricRegistry registry;
+  EngineOptions opts;
+  opts.registry = &registry;
+  QueryEngine engine(f.sys->queries(), opts);
   const auto n = static_cast<uint32_t>(engine.num_trajectories());
   // Untrusted ids past the corpus answer empty instead of reading past
   // the routing table / meta array.
@@ -419,6 +422,20 @@ TEST(QueryEngine, OutOfRangeTrajectoryAnswersEmpty) {
   EXPECT_EQ(results[1].where, f.sys->queries().Where(
                                   0, f.corpus[0].times.front(), 0.3));
   EXPECT_EQ(engine.stats().queries, 4u);
+
+  // Rejected requests still record exactly one latency sample each, from
+  // Execute and ExecuteBatch alike.
+  const auto snap = registry.Snapshot();
+  uint64_t queries = 0;
+  uint64_t samples = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "serve.engine.queries") queries = value;
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    if (name.rfind("serve.engine.latency_ns.", 0) == 0) samples += hist.count;
+  }
+  EXPECT_EQ(queries, 4u);
+  EXPECT_EQ(samples, queries);
 }
 
 TEST(QueryEngine, StatsReportLatencyPercentiles) {

@@ -38,7 +38,7 @@ using strategies::Tier;
 /// tier (the reference itself is the oracle).
 std::vector<Tier> SupportedTestTiers() {
   std::vector<Tier> tiers;
-  for (const Tier t : {Tier::kScalar, Tier::kSse42, Tier::kAvx2}) {
+  for (const Tier t : {Tier::kScalar, Tier::kAvx2}) {
     if (strategies::TierSupported(t)) tiers.push_back(t);
   }
   return tiers;
