@@ -16,18 +16,38 @@ using traj::TrajectoryInstance;
 
 namespace {
 
-/// A handle is only trusted when its shape matches the trajectory's meta —
-/// anything else (wrong trajectory, stale cache) decodes inline instead of
-/// indexing out of bounds.
-const traj::DecodedTraj* UsableHandle(const TrajMeta& meta,
-                                      const traj::DecodedTraj* dt) {
-  if (dt == nullptr) return nullptr;
-  if (dt->times.size() != meta.n_points ||
-      dt->ref_insts.size() != meta.refs.size() ||
-      dt->nref_insts.size() != meta.nrefs.size()) {
+/// Asks `provider` (if any) for trajectory j's handle. A handle is only
+/// trusted when its shape matches the trajectory's meta — anything else
+/// (wrong trajectory, stale cache) decodes inline instead of indexing out
+/// of bounds. Callers pin only after their own meta/index rejections; the
+/// shared_ptr guards the query against concurrent eviction.
+std::shared_ptr<const traj::DecodedTraj> PinHandle(
+    const traj::DecodedProvider& provider, size_t j, const TrajMeta& meta) {
+  if (!provider) return nullptr;
+  auto dt = provider(static_cast<uint32_t>(j));
+  if (dt != nullptr && (dt->times.size() != meta.n_points ||
+                        dt->ref_insts.size() != meta.refs.size() ||
+                        dt->nref_insts.size() != meta.nrefs.size())) {
     return nullptr;
   }
   return dt;
+}
+
+/// The one fallback rule of every handle-aware site below: with a handle,
+/// an instance comes from its slot (nullptr when reconstruction had
+/// failed); without one, `decode` materializes it into `storage`.
+template <typename DecodeFn>
+const TrajectoryInstance* SlotOrDecode(
+    const traj::DecodedTraj* dt,
+    std::vector<std::optional<TrajectoryInstance>> traj::DecodedTraj::*slots,
+    uint32_t idx, std::optional<TrajectoryInstance>& storage,
+    DecodeFn&& decode) {
+  if (dt != nullptr) {
+    const std::optional<TrajectoryInstance>& slot = (dt->*slots)[idx];
+    return slot.has_value() ? &*slot : nullptr;
+  }
+  storage = decode();
+  return storage.has_value() ? &*storage : nullptr;
 }
 
 }  // namespace
@@ -131,23 +151,18 @@ UtcqQueryProcessor::DecodeQualifying(size_t j, double alpha,
 
 std::vector<traj::WhereHit> UtcqQueryProcessor::Where(
     size_t traj_idx, Timestamp t, double alpha, QueryStats* stats) const {
-  return WhereImpl(traj_idx, t, alpha, nullptr, stats);
+  return Where(traj_idx, t, alpha, {}, stats);
 }
 
 std::vector<traj::WhereHit> UtcqQueryProcessor::Where(
-    size_t traj_idx, Timestamp t, double alpha, const traj::DecodedTraj& dt,
-    QueryStats* stats) const {
-  return WhereImpl(traj_idx, t, alpha, &dt, stats);
-}
-
-std::vector<traj::WhereHit> UtcqQueryProcessor::WhereImpl(
-    size_t traj_idx, Timestamp t, double alpha, const traj::DecodedTraj* dt,
-    QueryStats* stats) const {
+    size_t traj_idx, Timestamp t, double alpha,
+    const traj::DecodedProvider& provider, QueryStats* stats) const {
   std::vector<traj::WhereHit> hits;
   if (traj_idx >= cc().num_trajectories()) return hits;  // untrusted id
   const TrajMeta& meta = cc().meta(traj_idx);
-  dt = UsableHandle(meta, dt);
   if (t < meta.t_first || t > meta.t_last) return hits;
+  const auto pinned = PinHandle(provider, traj_idx, meta);
+  const traj::DecodedTraj* dt = pinned.get();
 
   // Partial T decompression: start at the temporal tuple for t. With a
   // handle the expanded sequence replaces the bitstream scan.
@@ -181,39 +196,19 @@ std::vector<traj::WhereHit> UtcqQueryProcessor::WhereImpl(
   return hits;
 }
 
-bool UtcqQueryProcessor::MayPassEdge(size_t traj_idx,
-                                     network::EdgeId edge) const {
-  // Mirrors WhenImpl's group construction: only reference-group tuples in
-  // the edge's regions can seed candidates, so no tuple here means the
-  // groups below would come up empty.
-  for (const network::RegionId re : index_.grid().RegionsOfEdge(edge)) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
-      if (rt.traj == traj_idx) return true;
-    }
-  }
-  return false;
-}
-
 std::vector<traj::WhenHit> UtcqQueryProcessor::When(size_t traj_idx,
                                                     network::EdgeId edge,
                                                     double rd, double alpha,
                                                     QueryStats* stats) const {
-  return WhenImpl(traj_idx, edge, rd, alpha, nullptr, stats);
+  return When(traj_idx, edge, rd, alpha, {}, stats);
 }
 
 std::vector<traj::WhenHit> UtcqQueryProcessor::When(
     size_t traj_idx, network::EdgeId edge, double rd, double alpha,
-    const traj::DecodedTraj& dt, QueryStats* stats) const {
-  return WhenImpl(traj_idx, edge, rd, alpha, &dt, stats);
-}
-
-std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
-    size_t traj_idx, network::EdgeId edge, double rd, double alpha,
-    const traj::DecodedTraj* dt, QueryStats* stats) const {
+    const traj::DecodedProvider& provider, QueryStats* stats) const {
   std::vector<traj::WhenHit> hits;
   if (traj_idx >= cc().num_trajectories()) return hits;  // untrusted id
   const TrajMeta& meta = cc().meta(traj_idx);
-  dt = UsableHandle(meta, dt);
 
   // Any instance passing <edge, rd> has spatial tuples in the regions the
   // edge overlaps (grid-boundary quantization makes the point's own region
@@ -249,6 +244,8 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
   }
   if (groups.empty()) return hits;  // no instance of Tu^j passes the edge
   if (stats != nullptr) stats->candidates += groups.size();
+  const auto pinned = PinHandle(provider, traj_idx, meta);
+  const traj::DecodedTraj* dt = pinned.get();
 
   std::vector<Timestamp> times_storage;  // decoded lazily when no handle
   const std::vector<Timestamp>* times = dt != nullptr ? &dt->times : nullptr;
@@ -288,9 +285,8 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
     if (need_ref_eval) {
       std::optional<TrajectoryInstance> inst_storage;
       const TrajectoryInstance* inst =
-          traj::SlotOrDecode(dt, &traj::DecodedTraj::ref_insts, rt->ref_idx,
-                             inst_storage,
-                             [&] { return decoder_.ToInstance(*ref); });
+          SlotOrDecode(dt, &traj::DecodedTraj::ref_insts, rt->ref_idx,
+                       inst_storage, [&] { return decoder_.ToInstance(*ref); });
       if (inst != nullptr) {
         for (const Timestamp t : traj::TimesAtPosition(
                  net_, *inst, ensure_times(), edge, rd, tol)) {
@@ -305,7 +301,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
       const NrefMeta& nm = meta.nrefs[nref_idx];
       if (nm.ref_pos != rt->ref_idx || nm.p_quantized < alpha) continue;
       std::optional<TrajectoryInstance> inst_storage;
-      const TrajectoryInstance* inst = traj::SlotOrDecode(
+      const TrajectoryInstance* inst = SlotOrDecode(
           dt, &traj::DecodedTraj::nref_insts, nref_idx, inst_storage, [&] {
             DecodedInstance d;
             const uint64_t bits =
@@ -329,19 +325,12 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::WhenImpl(
 traj::RangeResult UtcqQueryProcessor::Range(const Rect& region, Timestamp tq,
                                             double alpha,
                                             QueryStats* stats) const {
-  return RangeImpl(region, tq, alpha, nullptr, stats);
+  return Range(region, tq, alpha, {}, stats);
 }
 
-traj::RangeResult UtcqQueryProcessor::Range(const Rect& region, Timestamp tq,
-                                            double alpha,
-                                            const traj::DecodedProvider& provider,
-                                            QueryStats* stats) const {
-  return RangeImpl(region, tq, alpha, &provider, stats);
-}
-
-traj::RangeResult UtcqQueryProcessor::RangeImpl(
+traj::RangeResult UtcqQueryProcessor::Range(
     const Rect& region, Timestamp tq, double alpha,
-    const traj::DecodedProvider* provider, QueryStats* stats) const {
+    const traj::DecodedProvider& provider, QueryStats* stats) const {
   traj::RangeResult result;
   const auto retotal = index_.grid().RegionsInRect(region);
 
@@ -404,14 +393,11 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
     }
     if (!bracket.has_value()) continue;
 
-    // Pin the trajectory's handle only now that every index/meta-level
-    // rejection has passed: a decode-on-miss provider (the engine's cache)
-    // must never pay a full decode for a candidate the bracket was about
-    // to discard. The shared_ptr guards the member walk against concurrent
-    // eviction.
-    std::shared_ptr<const traj::DecodedTraj> pinned;
-    if (provider != nullptr && *provider) pinned = (*provider)(j);
-    const traj::DecodedTraj* dt = UsableHandle(meta, pinned.get());
+    // Pin only now that every index/meta-level rejection has passed: a
+    // decode-on-miss provider (the engine's cache) must never pay a full
+    // decode for a candidate the bracket was about to discard.
+    const auto pinned = PinHandle(provider, j, meta);
+    const traj::DecodedTraj* dt = pinned.get();
 
     // Decode members, references first (reused across their Rrs).
     std::vector<std::pair<uint32_t, DecodedInstance>> ref_cache;
@@ -453,12 +439,12 @@ traj::RangeResult UtcqQueryProcessor::RangeImpl(
         const uint32_t idx = static_cast<uint32_t>(members[k] & 0xFFFFFFFFu);
         if (is_ref) {
           pvals[c] = meta.refs[idx].p_quantized;
-          insts[c] = traj::SlotOrDecode(
+          insts[c] = SlotOrDecode(
               dt, &traj::DecodedTraj::ref_insts, idx, storage[c],
               [&] { return decoder_.ToInstance(ref_of(idx)); });
         } else {
           pvals[c] = meta.nrefs[idx].p_quantized;
-          insts[c] = traj::SlotOrDecode(
+          insts[c] = SlotOrDecode(
               dt, &traj::DecodedTraj::nref_insts, idx, storage[c], [&] {
                 const DecodedInstance& ref = ref_of(meta.nrefs[idx].ref_pos);
                 DecodedInstance d;

@@ -66,52 +66,32 @@ class UtcqQueryProcessor {
   traj::RangeResult Range(const network::Rect& region, traj::Timestamp tq,
                           double alpha, QueryStats* stats = nullptr) const;
 
-  /// Cached variants: identical hits in identical order, but every decode
-  /// is served from the pre-expanded handle (the serving layer's cache)
-  /// instead of the bitstreams. `dt` must be decoder().DecodeTraj(traj_idx)
-  /// output; a handle whose shape disagrees with the trajectory's meta
-  /// falls back to inline decoding.
+  /// Decode-on-demand variants: identical hits in identical order, but a
+  /// trajectory the provider supplies is served from its pre-expanded
+  /// handle (the serving layer's cache) instead of the bitstreams. The
+  /// provider may be empty or return nullptr (inline decode), and a handle
+  /// whose shape disagrees with the trajectory's meta is ignored. It is
+  /// consulted at most once per trajectory, and only after every
+  /// meta/index-level rejection has passed — Where's [t_first, t_last]
+  /// window, When's reference-group tuples near the edge, Range's
+  /// activity, Lemma 4 and bracket checks — so a decode-on-miss provider
+  /// never decodes a trajectory the uncached path dismisses without
+  /// decoding.
   std::vector<traj::WhereHit> Where(size_t traj_idx, traj::Timestamp t,
-                                    double alpha, const traj::DecodedTraj& dt,
+                                    double alpha,
+                                    const traj::DecodedProvider& provider,
                                     QueryStats* stats = nullptr) const;
   std::vector<traj::WhenHit> When(size_t traj_idx, network::EdgeId edge,
                                   double rd, double alpha,
-                                  const traj::DecodedTraj& dt,
+                                  const traj::DecodedProvider& provider,
                                   QueryStats* stats = nullptr) const;
-
-  /// Range with a decoded-trajectory provider: candidate generation and the
-  /// Lemma 1-4 pruning cascade are unchanged, but trajectories the provider
-  /// can supply skip the per-member bitstream decodes. The provider may be
-  /// empty or return nullptr per trajectory (inline decode for those); it
-  /// is only consulted for candidates that survive every meta/index-level
-  /// rejection, so a decode-on-miss provider never decodes a trajectory
-  /// the uncached path would have dismissed without decoding.
   traj::RangeResult Range(const network::Rect& region, traj::Timestamp tq,
                           double alpha, const traj::DecodedProvider& provider,
                           QueryStats* stats = nullptr) const;
 
-  /// Index-only test of whether any instance of trajectory `traj_idx` has
-  /// StIU tuples near `edge` — exactly the condition under which When can
-  /// return hits. False means When answers empty with zero decodes; the
-  /// serving layer checks this before paying a full decode for the handle.
-  bool MayPassEdge(size_t traj_idx, network::EdgeId edge) const;
-
   const UtcqDecoder& decoder() const { return decoder_; }
 
  private:
-  std::vector<traj::WhereHit> WhereImpl(size_t traj_idx, traj::Timestamp t,
-                                        double alpha,
-                                        const traj::DecodedTraj* dt,
-                                        QueryStats* stats) const;
-  std::vector<traj::WhenHit> WhenImpl(size_t traj_idx, network::EdgeId edge,
-                                      double rd, double alpha,
-                                      const traj::DecodedTraj* dt,
-                                      QueryStats* stats) const;
-  traj::RangeResult RangeImpl(const network::Rect& region, traj::Timestamp tq,
-                              double alpha,
-                              const traj::DecodedProvider* provider,
-                              QueryStats* stats) const;
-
   /// Decodes the instances of trajectory `j` whose quantized probability is
   /// >= alpha, reusing each reference decode across its Rrs. With `dt` the
   /// instances come from the handle instead.

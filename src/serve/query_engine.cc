@@ -24,6 +24,10 @@ class BorrowedTail final : public LiveTail {
   const core::UtcqQueryProcessor& qp_;
 };
 
+/// Independent LRU lists in the DecodedTrajCache, each behind its own
+/// mutex, so concurrent pins of distinct trajectories rarely contend.
+constexpr uint32_t kCacheShards = 8;
+
 obs::MetricRegistry* ResolveRegistry(
     obs::MetricRegistry* requested,
     std::unique_ptr<obs::MetricRegistry>& owned) {
@@ -68,7 +72,7 @@ QueryRequest QueryRequest::MakeRange(const network::Rect& region,
 #define UTCQ_ENGINE_INIT(opts)                                            \
   opts_(opts), clock_(opts.clock != nullptr ? opts.clock                  \
                                             : &obs::Clock::Real()),       \
-      cache_(opts.cache_budget_bytes, opts.cache_shards,                  \
+      cache_(opts.cache_budget_bytes, kCacheShards,                       \
              ResolveRegistry(opts.registry, owned_registry_))
 
 QueryEngine::QueryEngine(const core::UtcqQueryProcessor& queries,
@@ -250,35 +254,25 @@ QueryResult QueryEngine::Execute(const QueryRequest& req) {
 void QueryEngine::AnswerPoint(const QueryRequest& req, const Target& target,
                               std::shared_ptr<const traj::DecodedTraj>& dt,
                               PinAgg& agg, QueryResult& out) {
-  const core::UtcqQueryProcessor& qp = *target.qp;
-  if (req.kind == QueryKind::kWhere) {
-    // The uncached path rejects an out-of-window t from meta alone;
-    // pinning first would turn that O(1) rejection into a full decode.
-    const core::TrajMeta& meta = qp.decoder().view().meta(target.local);
-    if (req.t < meta.t_first || req.t > meta.t_last) return;
-  } else if (!qp.MayPassEdge(target.local, req.edge)) {
-    // Same principle for When: the uncached path rejects a trajectory with
-    // no StIU tuples near the edge from the index alone (Lemma 1 full
-    // skip). Accepted edges re-walk this tuple prefix inside When's group
-    // construction; that duplicate index scan is orders cheaper than the
-    // decode the rejection avoids.
-    return;
+  // The core consults the provider only past its own meta/index
+  // rejections, so a rejected request never pays a decode. An empty one
+  // (budget 0) makes it answer from the bitstreams instead.
+  traj::DecodedProvider provider;
+  if (opts_.cache_budget_bytes > 0) {
+    provider = [this, &target, &dt, &agg](uint32_t) {
+      if (dt == nullptr) dt = Pin(target, agg);
+      return dt;
+    };
   }
-  // Partial decode brackets through the sync table and decodes only the
-  // qualifying instances — never through the cache (a partial expansion
-  // cached under the full-decode key would poison later hits).
-  const bool partial = PartialActive();
-  if (!partial && dt == nullptr) dt = Pin(target, agg);
+  const core::UtcqQueryProcessor& qp = *target.qp;
   core::QueryStats qs;
   if (req.kind == QueryKind::kWhere) {
-    out.where = partial ? qp.Where(target.local, req.t, req.alpha, &qs)
-                        : qp.Where(target.local, req.t, req.alpha, *dt);
+    out.where = qp.Where(target.local, req.t, req.alpha, provider, &qs);
   } else {
     out.when =
-        partial ? qp.When(target.local, req.edge, req.rd, req.alpha, &qs)
-                : qp.When(target.local, req.edge, req.rd, req.alpha, *dt);
+        qp.When(target.local, req.edge, req.rd, req.alpha, provider, &qs);
   }
-  if (partial) RecordPartial(qs, agg);
+  if (!provider) RecordPartial(qs, agg);
 }
 
 traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
@@ -286,10 +280,10 @@ traj::RangeResult QueryEngine::RangeInternal(const network::Rect& region,
                                              unsigned num_threads,
                                              const TierSnapshot& snap,
                                              PinAgg& agg) {
-  // Partial decode hands both parts an empty provider: surviving members
-  // then decode inline from the bitstreams (BracketTime seeks through the
-  // sync tables) and the cache is neither consulted nor populated.
-  const bool partial = PartialActive();
+  // Budget 0 hands both parts an empty provider: surviving members then
+  // decode inline from the bitstreams (BracketTime seeks through the sync
+  // tables) and the cache is neither consulted nor populated.
+  const bool partial = opts_.cache_budget_bytes == 0;
   core::QueryStats qs;
   core::QueryStats* stats = partial ? &qs : nullptr;
   // Sealed fan-out first, then the live tail; live hits are offset to
@@ -378,10 +372,10 @@ std::vector<QueryResult> QueryEngine::ExecuteBatch(
     }
     const auto& [traj_idx, members] = groups[u - ranges.size()];
     const Target target = Resolve(traj_idx, *snap);
-    // Pinned by the first request that survives its cheap rejection — the
-    // decode lands in that request's latency sample and pin attribution,
-    // matching Execute()'s accounting, and a group of all-rejected
-    // requests never decodes at all.
+    // Pinned by the first request the core does not reject from meta or
+    // index alone — the decode lands in that request's latency sample and
+    // pin attribution, matching Execute()'s accounting, and a group of
+    // all-rejected requests never decodes at all.
     std::shared_ptr<const traj::DecodedTraj> dt;
     for (const uint32_t i : members) {
       const uint64_t start_ns = clock_->NowNanos();

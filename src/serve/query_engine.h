@@ -46,32 +46,15 @@ struct QueryResult {
   traj::RangeResult range;
 };
 
-/// Whether point queries and cold Range brackets answer from the seekable
-/// bitstreams (archive v3, DESIGN.md §16) instead of pinning a full decode.
-enum class PartialDecode : uint8_t {
-  /// Partial iff the cache keeps nothing resident (cache_budget_bytes == 0):
-  /// with no cache to warm, a full decode per query is pure waste, while a
-  /// warmed cache amortizes its decode across repeats partial decode would
-  /// pay every time.
-  kAuto,
-  /// Always pin a full decode (pre-v3 behaviour).
-  kOff,
-  /// Always answer from the bitstreams; the cache is never consulted or
-  /// populated by query execution. Differential harnesses force this to
-  /// sweep the seek path.
-  kAlways,
-};
-
 struct EngineOptions {
-  /// Total decoded-trajectory cache budget. 0 keeps nothing resident
-  /// (every query decodes — the cold path, useful for measurement).
+  /// Total decoded-trajectory cache budget. A nonzero budget pins a full
+  /// decode through the DecodedTrajCache for every trajectory a query
+  /// needs, so repeats amortize it. 0 keeps nothing resident, and with no
+  /// cache to warm a full decode per query is pure waste: every query
+  /// then answers from the seekable bitstreams instead (partial decode,
+  /// DESIGN.md §16), decoding only what survives its filters, and never
+  /// touches the cache in either direction.
   size_t cache_budget_bytes = 256ull << 20;
-  uint32_t cache_shards = 8;
-  /// Partial-decode policy; see PartialDecode. The partial path never
-  /// touches the DecodedTrajCache in either direction — in particular it
-  /// must never insert its partially expanded state under the full-decode
-  /// key, where a later query would trust it as complete.
-  PartialDecode partial_decode = PartialDecode::kAuto;
   /// Fan-out width for ExecuteBatch grouping and Range. 0 picks
   /// common::DefaultThreads(). Work runs on the process-wide persistent
   /// ThreadPool::Shared() (no per-batch thread spawning); this caps how
@@ -215,13 +198,6 @@ class QueryEngine {
   };
 
   void InitInstruments();
-  /// True when this engine answers point queries / cold Range brackets via
-  /// partial decode (see PartialDecode).
-  bool PartialActive() const {
-    return opts_.partial_decode == PartialDecode::kAlways ||
-           (opts_.partial_decode == PartialDecode::kAuto &&
-            opts_.cache_budget_bytes == 0);
-  }
   /// Folds one partial query's stream consumption into the obs counters
   /// and the per-query pin aggregation (for the decode_bytes histogram and
   /// slow-query log; cache miss accounting is untouched — no pin happened).
@@ -232,9 +208,10 @@ class QueryEngine {
   static Target Resolve(uint32_t global, const TierSnapshot& snap);
   std::shared_ptr<const traj::DecodedTraj> Pin(const Target& target,
                                                PinAgg& agg);
-  /// Answers one Where/When into `out`: the cheap meta/index rejection
-  /// first, then partial decode or the handle `dt`, pinned on first need
-  /// (a batch passes one `dt` through a whole group).
+  /// Answers one Where/When into `out` with one core call. With a cache
+  /// the core pins through a provider that memoizes the pin in `dt` (a
+  /// batch passes one `dt` through a whole group); without one it decodes
+  /// partially from the bitstreams.
   void AnswerPoint(const QueryRequest& req, const Target& target,
                    std::shared_ptr<const traj::DecodedTraj>& dt, PinAgg& agg,
                    QueryResult& out);

@@ -279,16 +279,11 @@ traj::RangeResult ShardedCorpus::Range(const network::Rect& region,
   std::vector<core::QueryStats> shard_stats(shards_.size());
   common::ParallelFor(shards_.size(), num_threads, [&](size_t s) {
     core::QueryStats* sstats = stats != nullptr ? &shard_stats[s] : nullptr;
-    if (provider) {
-      const traj::DecodedProvider local_provider =
-          [&provider, s](uint32_t local) {
-            return provider(static_cast<uint32_t>(s), local);
-          };
-      partial[s] = shards_[s]->queries->Range(region, tq, alpha,
-                                              local_provider, sstats);
-    } else {
-      partial[s] = shards_[s]->queries->Range(region, tq, alpha, sstats);
-    }
+    const traj::DecodedProvider local_provider = [&](uint32_t local) {
+      return provider ? provider(static_cast<uint32_t>(s), local) : nullptr;
+    };
+    partial[s] =
+        shards_[s]->queries->Range(region, tq, alpha, local_provider, sstats);
   });
 
   traj::RangeResult merged;

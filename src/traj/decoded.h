@@ -19,13 +19,11 @@ namespace utcq::traj {
 /// every query against the handle afterwards is pure in-memory filtering
 /// and interpolation.
 ///
-/// Slot layout mirrors the representation that produced it:
-///  * UTCQ: ref_insts[r] is reference r in TrajMeta::refs order,
-///    nref_insts[k] is non-reference k in TrajMeta::nrefs order.
-///  * TED baseline: ref_insts[w] is instance w in original order,
-///    nref_insts is empty.
-/// A slot is nullopt when the instance failed reconstruction (corrupt or
-/// degenerate stream) — exactly the cases the live decode path drops.
+/// Slot layout mirrors UTCQ's referential split: ref_insts[r] is reference
+/// r in TrajMeta::refs order, nref_insts[k] is non-reference k in
+/// TrajMeta::nrefs order. A slot is nullopt when the instance failed
+/// reconstruction (corrupt or degenerate stream) — exactly the cases the
+/// live decode path drops.
 struct DecodedTraj {
   std::vector<Timestamp> times;
   std::vector<std::optional<TrajectoryInstance>> ref_insts;
@@ -36,31 +34,14 @@ struct DecodedTraj {
   size_t ApproxBytes() const;
 };
 
-/// Lookup the query processors accept in place of inline decoding: given a
+/// Lookup the query processor accepts in place of inline decoding: given a
 /// trajectory index (local to the processor's corpus), returns a pinned
 /// decoded handle, or nullptr to make the processor decode inline for that
-/// trajectory. The shared_ptr keeps a cached entry alive across concurrent
+/// trajectory. The processor consults it only after its own meta/index
+/// rejections. The shared_ptr keeps a cached entry alive across concurrent
 /// eviction for as long as the query holds it.
 using DecodedProvider =
     std::function<std::shared_ptr<const DecodedTraj>(uint32_t traj_idx)>;
-
-/// The one fallback rule of every handle-aware query path: with a handle,
-/// an instance comes from its slot (nullptr when reconstruction had
-/// failed); without one, `decode` materializes it into `storage`. Shared so
-/// cached and inline results cannot drift site by site.
-template <typename DecodeFn>
-const TrajectoryInstance* SlotOrDecode(
-    const DecodedTraj* dt,
-    std::vector<std::optional<TrajectoryInstance>> DecodedTraj::*slots,
-    uint32_t idx, std::optional<TrajectoryInstance>& storage,
-    DecodeFn&& decode) {
-  if (dt != nullptr) {
-    const std::optional<TrajectoryInstance>& slot = (dt->*slots)[idx];
-    return slot.has_value() ? &*slot : nullptr;
-  }
-  storage = decode();
-  return storage.has_value() ? &*storage : nullptr;
-}
 
 }  // namespace utcq::traj
 

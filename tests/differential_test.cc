@@ -245,6 +245,15 @@ void RunBatch(const network::RoadNetwork& net, const verify::Oracle& oracle,
   }
 }
 
+/// A budget-0 engine answered from the bitstreams alone: partial queries
+/// ran, and the cache saw no traffic in either direction.
+void ExpectPartialOnly(const serve::EngineStats& stats) {
+  EXPECT_GT(stats.partial_queries, 0u);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u)
+      << "partial decode went through the full-decode cache";
+  EXPECT_EQ(stats.cache_resident_bytes, 0u);
+}
+
 // ----------------------------------------------------------- tier plumbing
 
 std::string TempPath(const std::string& name) {
@@ -320,16 +329,16 @@ void RunWorkload(uint64_t seed) {
     RunPath(w.net, oracle, w.queries, PathOf("engine-sharded-warm", engine));
     RunBatch(w.net, oracle, w.queries, engine, "engine-sharded");
 
-    // The same set with partial decode forced on: every point query and
-    // Range bracket seeks the shards' bitstreams instead of pinning.
+    // The same set at budget 0, which selects partial decode: every point
+    // query and Range bracket seeks the shards' bitstreams instead of
+    // pinning.
     serve::EngineOptions popts;
-    popts.partial_decode = serve::PartialDecode::kAlways;
+    popts.cache_budget_bytes = 0;
     serve::QueryEngine partial(sharded, popts);
     RunPath(w.net, oracle, w.queries,
             PathOf("engine-sharded-partial", partial));
     RunBatch(w.net, oracle, w.queries, partial, "engine-sharded-partial");
-    EXPECT_EQ(partial.stats().cache_resident_bytes, 0u)
-        << "partial decode leaked state into the full-decode cache";
+    ExpectPartialOnly(partial.stats());
   }
 
   // --- path 4: the serving engine over the single corpus ---
@@ -369,14 +378,13 @@ void RunWorkload(uint64_t seed) {
     RunPath(w.net, oracle, w.queries, PathOf("tier-live+sealed", engine));
     RunBatch(w.net, oracle, w.queries, engine, "tier-live+sealed");
 
-    // Partial decode over both parts of the same snapshot.
+    // Partial decode (budget 0) over both parts of the same snapshot.
     serve::EngineOptions popts;
-    popts.partial_decode = serve::PartialDecode::kAlways;
+    popts.cache_budget_bytes = 0;
     serve::QueryEngine partial(tier, popts);
     RunPath(w.net, oracle, w.queries, PathOf("tier-partial", partial));
     RunBatch(w.net, oracle, w.queries, partial, "tier-partial");
-    EXPECT_EQ(partial.stats().cache_resident_bytes, 0u)
-        << "partial decode leaked state into the full-decode cache";
+    ExpectPartialOnly(partial.stats());
 
     // Flush the tail and reopen the append-log set from scratch: the
     // durable path must answer like everything else.
@@ -406,14 +414,12 @@ void RunWorkload(uint64_t seed) {
 
     traj::UncertainCorpus ted_decoded(w.corpus.size());
     for (size_t j = 0; j < w.corpus.size(); ++j) {
-      const traj::DecodedTraj dt = tq.DecodeTraj(j);
       ted_decoded[j].id = j;
-      ted_decoded[j].times = dt.times;
-      ted_decoded[j].instances.resize(dt.ref_insts.size());
-      for (size_t wi = 0; wi < dt.ref_insts.size(); ++wi) {
-        if (dt.ref_insts[wi].has_value()) {
-          ted_decoded[j].instances[wi] = *dt.ref_insts[wi];
-        }
+      ted_decoded[j].times = tc.DecodeTimes(j);
+      ted_decoded[j].instances.resize(tc.meta(j).instances.size());
+      for (size_t wi = 0; wi < ted_decoded[j].instances.size(); ++wi) {
+        const auto inst = tc.DecodeInstance(w.net, j, wi);
+        if (inst.has_value()) ted_decoded[j].instances[wi] = *inst;
       }
     }
     const verify::Oracle ted_oracle(w.net, ted_decoded, tparams.eta_d);
@@ -487,7 +493,7 @@ void RunWorkload(uint64_t seed) {
     EXPECT_EQ(server.active_connections(), 0u) << "leaked sessions";
   }
 
-  // --- path 8: the serving engine with partial decode forced on, over a
+  // --- path 8: the serving engine at budget 0 (partial decode), over a
   // recompression with a dense sync interval (K=2) — every query answers
   // from the seekable bitstreams (archive v3, DESIGN.md §16) and must be
   // hit-for-hit identical to the oracle and the full-decode engine. Sync
@@ -498,14 +504,11 @@ void RunWorkload(uint64_t seed) {
     dense.t_sync_interval = 2;
     const core::UtcqSystem dsys(w.net, grid, w.corpus, dense, index_params);
     serve::EngineOptions eopts;
-    eopts.partial_decode = serve::PartialDecode::kAlways;
+    eopts.cache_budget_bytes = 0;
     serve::QueryEngine engine(dsys.queries(), eopts);
     RunPath(w.net, oracle, w.queries, PathOf("engine-partial", engine));
     RunBatch(w.net, oracle, w.queries, engine, "engine-partial");
-    const serve::EngineStats stats = engine.stats();
-    EXPECT_GT(stats.partial_queries, 0u);
-    EXPECT_EQ(stats.cache_resident_bytes, 0u)
-        << "partial decode leaked state into the full-decode cache";
+    ExpectPartialOnly(engine.stats());
   }
 
   for (const std::string& f : files) std::remove(f.c_str());

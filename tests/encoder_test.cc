@@ -83,7 +83,7 @@ TEST(Encoder, SingleInstanceTrajectory) {
   EXPECT_EQ(rebuilt[0].instances[0].path, ex.tu.instances[0].path);
 }
 
-TEST(Encoder, BracketTimePartialDecode) {
+TEST(Encoder, BracketTimeDecodesPartially) {
   const auto ex = test::MakePaperExample();
   const traj::UncertainCorpus corpus{ex.tu};
   UtcqCompressor compressor(ex.net, PaperParams());

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -313,6 +315,113 @@ TEST(QueryStatsAccounting, LemmasActuallyFire) {
   EXPECT_GT(stats.candidates, 0u);
   EXPECT_GT(stats.pruned_lemma4 + stats.pruned_lemma2 + stats.accepted_lemma3,
             0u);
+}
+
+// ------------------------------- decode-on-demand provider contract
+
+TEST(DecodedProvider, ConsultedOnlyPastMetaAndIndexRejections) {
+  const auto profile = traj::ChengduProfile();
+  const auto net = test::MakeSmallCity(profile, 14);
+  const auto corpus = test::MakeSmallCorpus(net, profile, 808, 40);
+  UtcqParams params;
+  params.default_interval_s = profile.default_interval_s;
+  const network::GridIndex grid(net, 16);
+  const UtcqSystem sys(net, grid, corpus, params, {16, 900});
+  const UtcqQueryProcessor& qp = sys.queries();
+  const UtcqDecoder decoder = sys.decoder();
+
+  // Full decodes on demand, counted per trajectory (.at: an id past the
+  // corpus must never reach a provider).
+  std::vector<size_t> calls(corpus.size(), 0);
+  const traj::DecodedProvider counting = [&](uint32_t j) {
+    ++calls.at(j);
+    return std::make_shared<const traj::DecodedTraj>(decoder.DecodeTraj(j));
+  };
+  const auto total_calls = [&calls] {
+    return std::accumulate(calls.begin(), calls.end(), size_t{0});
+  };
+
+  // Rejections: Where outside [t_first, t_last] from meta alone, When on
+  // an edge none of whose regions any instance of Tu^j visits (so no
+  // reference-group tuple lies near it) from the index alone.
+  size_t foreign_edges = 0;
+  for (uint32_t j = 0; j < corpus.size(); ++j) {
+    const TrajMeta& meta = qp.decoder().view().meta(j);
+    EXPECT_TRUE(qp.Where(j, meta.t_first - 1, 0.1, counting).empty());
+    EXPECT_TRUE(qp.Where(j, meta.t_last + 1, 0.1, counting).empty());
+
+    std::set<network::RegionId> visited;
+    for (const auto& inst : corpus[j].instances) {
+      for (const network::EdgeId e : inst.path) {
+        for (const network::RegionId re : grid.RegionsOfEdge(e)) {
+          visited.insert(re);
+        }
+      }
+    }
+    for (network::EdgeId e = 0; e < net.num_edges(); ++e) {
+      const auto& regions = grid.RegionsOfEdge(e);
+      const auto near = [&visited](network::RegionId re) {
+        return visited.count(re) > 0;
+      };
+      if (std::any_of(regions.begin(), regions.end(), near)) continue;
+      ++foreign_edges;
+      EXPECT_TRUE(qp.When(j, e, 0.5, 0.1, counting).empty())
+          << "trajectory " << j << " edge " << e;
+    }
+  }
+  EXPECT_TRUE(qp.Where(corpus.size(), 0, 0.1, counting).empty());
+  EXPECT_GT(foreign_edges, 0u);
+  EXPECT_EQ(total_calls(), 0u);
+
+  // Accepted queries: at most one call per trajectory, and answers equal
+  // the provider-less call — also when the handle's shape disagrees with
+  // the meta and must be ignored.
+  const traj::DecodedProvider misshapen = [](uint32_t) {
+    return std::make_shared<const traj::DecodedTraj>();
+  };
+  const auto expect_at_most_once = [&calls](const char* what) {
+    for (size_t j = 0; j < calls.size(); ++j) {
+      EXPECT_LE(calls[j], 1u) << what << " trajectory " << j;
+    }
+  };
+  common::Rng rng(test::BaseSeed(909));
+  const auto bbox = net.bounding_box();
+  size_t served = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto j = static_cast<uint32_t>(rng.UniformInt(0, corpus.size() - 1));
+    const auto& tu = corpus[j];
+    const double alpha = rng.Uniform(0.0, 0.6);
+    const traj::Timestamp t =
+        rng.UniformInt(tu.times.front(), tu.times.back());
+    const auto& path = tu.instances.front().path;
+    const network::EdgeId edge = path[rng.UniformInt(0, path.size() - 1)];
+    const double rd = rng.Uniform(0.0, 1.0);
+    const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
+    const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
+    const double half = rng.Uniform(200.0, 900.0);
+    const network::Rect re{cx - half, cy - half, cx + half, cy + half};
+
+    std::fill(calls.begin(), calls.end(), 0);
+    EXPECT_EQ(qp.Where(j, t, alpha, counting), qp.Where(j, t, alpha));
+    EXPECT_EQ(qp.Where(j, t, alpha, misshapen), qp.Where(j, t, alpha));
+    expect_at_most_once("where");
+    served += total_calls();
+
+    std::fill(calls.begin(), calls.end(), 0);
+    EXPECT_EQ(qp.When(j, edge, rd, alpha, counting),
+              qp.When(j, edge, rd, alpha));
+    EXPECT_EQ(qp.When(j, edge, rd, alpha, misshapen),
+              qp.When(j, edge, rd, alpha));
+    expect_at_most_once("when");
+    served += total_calls();
+
+    std::fill(calls.begin(), calls.end(), 0);
+    EXPECT_EQ(qp.Range(re, t, alpha, counting), qp.Range(re, t, alpha));
+    EXPECT_EQ(qp.Range(re, t, alpha, misshapen), qp.Range(re, t, alpha));
+    expect_at_most_once("range");
+    served += total_calls();
+  }
+  EXPECT_GT(served, 0u);  // the handles actually answered queries
 }
 
 }  // namespace

@@ -19,9 +19,6 @@
 #include "serve/decoded_cache.h"
 #include "serve/query_engine.h"
 #include "shard/sharded.h"
-#include "ted/ted_compress.h"
-#include "ted/ted_index.h"
-#include "ted/ted_query.h"
 #include "traj/generator.h"
 #include "traj/profiles.h"
 #include "test_fixtures.h"
@@ -188,28 +185,41 @@ TEST(QueryEngine, WhenOnForeignEdgesMatchesWithoutDecoding) {
   QueryEngine engine(f.sys->queries());
   // Sweep edges regardless of whether trajectory 0 passes them: the
   // index-only rejection must agree with the uncached answer, and edges
-  // the trajectory never passes must not cost a decode.
-  size_t rejected = 0;
+  // the trajectory never passes must not cost a decode. An edge is
+  // foreign when the uncached When finds no reference group near it.
+  std::vector<network::EdgeId> foreign;
+  std::vector<network::EdgeId> passed;
   for (network::EdgeId e = 0; e < 40; ++e) {
-    const auto got = engine.When(0, e, 0.5, 0.2);
-    EXPECT_EQ(got, f.sys->queries().When(0, e, 0.5, 0.2)) << "edge " << e;
-    if (!f.sys->queries().MayPassEdge(0, e)) {
-      EXPECT_TRUE(got.empty());
-      ++rejected;
+    core::QueryStats qs;
+    const auto want = f.sys->queries().When(0, e, 0.5, 0.2, &qs);
+    if (qs.candidates == 0) {
+      EXPECT_TRUE(want.empty()) << "edge " << e;
+      foreign.push_back(e);
+    } else {
+      passed.push_back(e);
     }
   }
-  ASSERT_GT(rejected, 0u);  // the sweep must hit foreign edges
-  // Only passed-edge queries may have pinned the trajectory: rejections
-  // shy of the cache leave no miss traffic behind.
+  ASSERT_FALSE(foreign.empty());  // the sweep must hit foreign edges
+  for (const network::EdgeId e : foreign) {
+    EXPECT_TRUE(engine.When(0, e, 0.5, 0.2).empty()) << "edge " << e;
+  }
+  // Rejections shy of the cache leave no miss traffic behind.
+  EXPECT_EQ(engine.stats().cache_misses, 0u);
+  for (const network::EdgeId e : passed) {
+    EXPECT_EQ(engine.When(0, e, 0.5, 0.2),
+              f.sys->queries().When(0, e, 0.5, 0.2))
+        << "edge " << e;
+  }
+  // Only passed-edge queries may have pinned the trajectory.
   EXPECT_LE(engine.stats().cache_misses, 1u);
 }
 
-TEST(QueryEngine, PartialDecodeNeverTouchesTheCache) {
+TEST(QueryEngine, BudgetZeroNeverTouchesTheCache) {
   // A partial decode must never land in the DecodedTrajCache under the
   // full-decode key: a later query hitting that entry would trust a stale
   // prefix as the complete trajectory. The partial path is structurally
-  // cache-free — force it on over a warm-cache budget and the cache must
-  // stay empty in both directions (no inserts, no hits, no misses).
+  // cache-free — budget 0 selects it, and the cache must stay empty in
+  // both directions (no inserts, no hits, no misses).
   ServeFixture& f = Fixture();
   core::UtcqParams params = f.params;
   params.t_sync_interval = 2;  // dense sync tables so the seek path engages
@@ -217,7 +227,7 @@ TEST(QueryEngine, PartialDecodeNeverTouchesTheCache) {
                               core::StiuParams{16, 900});
 
   EngineOptions popts;
-  popts.partial_decode = PartialDecode::kAlways;
+  popts.cache_budget_bytes = 0;
   QueryEngine partial(sys2.queries(), popts);
 
   const auto reqs = f.MakeWorkload(120, 2026);
@@ -298,7 +308,6 @@ TEST(QueryEngine, ConcurrentMixedQueriesMatchUncached) {
   // hits, misses, and evictions against each other.
   EngineOptions opts;
   opts.cache_budget_bytes = 64 * 1024;
-  opts.cache_shards = 4;
   QueryEngine engine(f.sys->queries(), opts);
 
   const auto reqs = f.MakeWorkload(100, 5150);
@@ -365,42 +374,6 @@ TEST(QueryEngine, ShardedBackendMatchesAndSharesCache) {
     std::remove(shard::ShardArchivePath(manifest, s).c_str());
   }
   std::remove(manifest.c_str());
-}
-
-TEST(TedDecodedHandle, MatchesUncachedQueries) {
-  ServeFixture& f = Fixture();
-  ted::TedParams tparams;
-  const ted::TedCompressed cc =
-      ted::TedCompressor(f.net, tparams).Compress(f.corpus);
-  const ted::TedIndex index(f.net, *f.grid, cc, 900);
-  const ted::TedQueryProcessor queries(f.net, cc, index);
-
-  common::Rng rng(606);
-  const auto bbox = f.net.bounding_box();
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto j =
-        static_cast<uint32_t>(rng.UniformInt(0, f.corpus.size() - 1));
-    const auto& tu = f.corpus[j];
-    const traj::DecodedTraj dt = queries.DecodeTraj(j);
-    const auto t = rng.UniformInt(tu.times.front(), tu.times.back());
-    const double alpha = rng.Uniform(0.1, 0.6);
-    EXPECT_EQ(queries.Where(j, t, alpha, dt), queries.Where(j, t, alpha));
-    const auto& path = tu.instances.front().path;
-    const network::EdgeId edge = path[rng.UniformInt(0, path.size() - 1)];
-    EXPECT_EQ(queries.When(j, edge, 0.5, alpha, dt),
-              queries.When(j, edge, 0.5, alpha));
-
-    const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
-    const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
-    const network::Rect re{cx - 500, cy - 500, cx + 500, cy + 500};
-    // Provider-backed Range: decode every candidate through a one-shot map.
-    const traj::DecodedProvider provider = [&](uint32_t cand) {
-      return std::make_shared<const traj::DecodedTraj>(
-          queries.DecodeTraj(cand));
-    };
-    EXPECT_EQ(queries.Range(re, t, alpha, provider),
-              queries.Range(re, t, alpha));
-  }
 }
 
 TEST(QueryEngine, OutOfRangeTrajectoryAnswersEmpty) {

@@ -87,6 +87,15 @@ void ExpectSameState(const BitReader& got, const BitReader& want,
   EXPECT_EQ(got.overflow(), want.overflow()) << tier << ": " << what;
 }
 
+/// Bitwise (not approximate) equality of two double arrays. An empty
+/// vector's data() may be null, which memcmp must never see even for a
+/// zero length.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 TEST(StrategyPlumbing, BaselineTiersAlwaysSupported) {
   EXPECT_TRUE(strategies::TierSupported(Tier::kBitloop));
   EXPECT_TRUE(strategies::TierSupported(Tier::kScalar));
@@ -493,10 +502,7 @@ TEST(StrategyKernels, BatchedPddpRunMatchesReference) {
       std::fill(got.begin(), got.end(), -1.0);
       ks.pddp_run(got_r, codec.length_field_bits(), codec.max_code_bits(),
                   got.data(), got.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(double)),
-                0)
-          << strategies::TierName(tier);
+      EXPECT_TRUE(SameBits(got, want)) << strategies::TierName(tier);
       ExpectSameState(got_r, want_r, strategies::TierName(tier), "pddp_run");
     }
   }
@@ -521,12 +527,12 @@ TEST(StrategyKernels, FloatKernelsAreBitExact) {
 
       ks.lerp(a.data(), b.data(), f, got.data(), n);
       for (size_t i = 0; i < n; ++i) want[i] = a[i] + (b[i] - a[i]) * f;
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
+      EXPECT_TRUE(SameBits(got, want))
           << strategies::TierName(tier) << " lerp seed=" << seed;
 
       ks.mul_add(a.data(), b.data(), c.data(), got.data(), n);
       for (size_t i = 0; i < n; ++i) want[i] = a[i] + b[i] * c[i];
-      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
+      EXPECT_TRUE(SameBits(got, want))
           << strategies::TierName(tier) << " mul_add seed=" << seed;
     }
   }
