@@ -89,6 +89,15 @@ void BM_RangeQueries(benchmark::State& state, traj::DatasetProfile profile,
       }
       benchmark::DoNotOptimize(results);
     }
+    // Clock-free work per query, from one untimed pass: StIU tuples read
+    // for candidate generation, and per candidate trajectory.
+    core::QueryStats stats;
+    for (const auto& q : queries) sys.queries().Range(q.re, q.tq, 0.5, &stats);
+    state.counters["tuples_scanned_per_range"] =
+        static_cast<double>(stats.tuples_scanned) / queries.size();
+    state.counters["tuples_scanned_per_candidate"] =
+        static_cast<double>(stats.tuples_scanned) /
+        std::max<uint64_t>(stats.candidates, 1);
   } else {
     ted::TedParams params;
     params.eta_p = profile.eta_p;

@@ -221,8 +221,11 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::When(
   std::vector<StiuIndex::RefTuple> groups;
   std::vector<uint32_t> nref_candidates;
   for (const network::RegionId re : regions) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
-      if (rt.traj != traj_idx) continue;
+    const auto run = index_.TuplesOf(re, static_cast<uint32_t>(traj_idx));
+    if (stats != nullptr) {
+      stats->tuples_scanned += run.refs.size() + run.nrefs.size();
+    }
+    for (const auto& rt : run.refs) {
       bool merged = false;
       for (auto& g : groups) {
         if (g.ref_idx == rt.ref_idx) {
@@ -234,8 +237,7 @@ std::vector<traj::WhenHit> UtcqQueryProcessor::When(
       }
       if (!merged) groups.push_back(rt);
     }
-    for (const auto& nt : index_.NrefTuplesIn(re)) {
-      if (nt.traj != traj_idx) continue;
+    for (const auto& nt : run.nrefs) {
       if (std::find(nref_candidates.begin(), nref_candidates.end(),
                     nt.nref_idx) == nref_candidates.end()) {
         nref_candidates.push_back(nt.nref_idx);
@@ -332,28 +334,30 @@ traj::RangeResult UtcqQueryProcessor::Range(
     const Rect& region, Timestamp tq, double alpha,
     const traj::DecodedProvider& provider, QueryStats* stats) const {
   traj::RangeResult result;
+  const auto partition = index_.PartitionAt(tq);
+  if (!partition.has_value()) return result;  // no trajectory active at tq
   const auto retotal = index_.grid().RegionsInRect(region);
 
-  // Active trajectories at tq (sorted by construction).
-  const auto& active = index_.TrajectoriesAt(tq);
-  const auto is_active = [&](uint32_t j) {
-    return std::binary_search(active.begin(), active.end(), j);
-  };
-
   // Candidate instances from the spatial tuples over retotal (a superset
-  // of RE — Lemma 4's region), as packed keys: traj | is_ref | idx.
-  // Sort + unique beats hashing on the small per-query candidate sets.
+  // of RE — Lemma 4's region) of the trajectories active at tq, as packed
+  // keys: traj | is_ref | idx. Sort + unique beats hashing on the small
+  // per-query candidate sets.
   std::vector<uint64_t> members;
   for (const network::RegionId re : retotal) {
-    for (const auto& rt : index_.RefTuplesIn(re)) {
-      if (!rt.ref_passes || !is_active(rt.traj)) continue;
-      members.push_back((static_cast<uint64_t>(rt.traj) << 33) |
-                        (1ull << 32) | rt.ref_idx);
-    }
-    for (const auto& nt : index_.NrefTuplesIn(re)) {
-      if (!is_active(nt.traj)) continue;
-      members.push_back((static_cast<uint64_t>(nt.traj) << 33) | nt.nref_idx);
-    }
+    index_.ForEachActiveRun(re, *partition, [&](const auto& run) {
+      if (stats != nullptr) {
+        stats->tuples_scanned += run.refs.size() + run.nrefs.size();
+      }
+      for (const auto& rt : run.refs) {
+        if (!rt.ref_passes) continue;
+        members.push_back((static_cast<uint64_t>(rt.traj) << 33) |
+                          (1ull << 32) | rt.ref_idx);
+      }
+      for (const auto& nt : run.nrefs) {
+        members.push_back((static_cast<uint64_t>(nt.traj) << 33) |
+                          nt.nref_idx);
+      }
+    });
   }
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());

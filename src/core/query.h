@@ -26,6 +26,10 @@ struct QueryStats {
   uint64_t stream_bits_read = 0;
   /// Bracket scans whose start was upgraded through a v3 sync table.
   uint64_t sync_seeks = 0;
+  /// StIU spatial tuples (ref + nref) the candidate step read: Range's
+  /// runs of the trajectories active at tq over RegionsInRect, When's one
+  /// trajectory's runs over the edge's regions.
+  uint64_t tuples_scanned = 0;
 };
 
 /// Lemma 2 classification of a travelled subpath against a query region.

@@ -202,6 +202,7 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
       region_refs_[static_cast<network::RegionId>(key >> 20)].push_back(rt);
     }
   }
+  BuildRuns();  // lists are sorted and in range by construction
 }
 
 StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
@@ -286,12 +287,113 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
       nt.ma_pos = in.GetVarint();
     }
   }
+  // The derived runs index per-trajectory arrays and binary-search the
+  // lists, so an unsorted list or an out-of-range id is as malformed as a
+  // bad count.
+  if (in.ok() && !BuildRuns()) in.Skip(in.remaining() + 1);
   if (!in.ok()) {
     temporal_.clear();
     partition_trajs_.clear();
     region_refs_.clear();
     region_nrefs_.clear();
+    runs_.clear();
+    region_runs_.clear();
+    postings_.clear();
+    region_postings_.clear();
   }
+}
+
+bool StiuIndex::BuildRuns() {
+  const size_t num_trajs = temporal_.size();
+  const size_t num_regions = region_refs_.size();
+  // Partitions each trajectory is listed in; the lists must be strictly
+  // ascending, as the writer emits them and ForEachActiveRun searches them.
+  if (partition_trajs_.size() >= kWidePartition) return false;
+  std::vector<uint32_t> span(num_trajs, 0);
+  size_t listed = 0;
+  for (const auto& trajs : partition_trajs_) {
+    for (size_t i = 0; i < trajs.size(); ++i) {
+      if (trajs[i] >= num_trajs || (i > 0 && trajs[i] <= trajs[i - 1])) {
+        return false;
+      }
+      ++span[trajs[i]];
+    }
+    listed += trajs.size();
+  }
+  if (listed >= UINT32_MAX) return false;
+  // Each trajectory's partitions, ascending (a CSR over part_begin).
+  std::vector<uint32_t> part_begin(num_trajs + 1, 0);
+  for (size_t j = 0; j < num_trajs; ++j) {
+    part_begin[j + 1] = part_begin[j] + span[j];
+  }
+  std::vector<uint32_t> parts(listed);
+  {
+    std::vector<uint32_t> next(part_begin.begin(), part_begin.end() - 1);
+    for (uint32_t p = 0; p < partition_trajs_.size(); ++p) {
+      for (const uint32_t j : partition_trajs_[p]) parts[next[j]++] = p;
+    }
+  }
+
+  // Runs: per region, a merge of its two lists into one run per
+  // trajectory, then the sentinel. Once a trajectory's tuples are skipped,
+  // a head below it means a list is out of trajectory order.
+  region_runs_.assign(num_regions + 1, 0);
+  for (size_t re = 0; re < num_regions; ++re) {
+    const auto& refs = region_refs_[re];
+    const auto& nrefs = region_nrefs_[re];
+    if (refs.size() >= UINT32_MAX || nrefs.size() >= UINT32_MAX) return false;
+    size_t a = 0;
+    size_t b = 0;
+    while (a < refs.size() || b < nrefs.size()) {
+      const uint32_t j = std::min(a < refs.size() ? refs[a].traj : kNoTraj,
+                                  b < nrefs.size() ? nrefs[b].traj : kNoTraj);
+      if (j >= num_trajs) return false;
+      runs_.push_back({j, static_cast<uint32_t>(a), static_cast<uint32_t>(b)});
+      while (a < refs.size() && refs[a].traj == j) ++a;
+      while (b < nrefs.size() && nrefs[b].traj == j) ++b;
+      if ((a < refs.size() && refs[a].traj < j) ||
+          (b < nrefs.size() && nrefs[b].traj < j)) {
+        return false;
+      }
+    }
+    runs_.push_back({kNoTraj, static_cast<uint32_t>(refs.size()),
+                     static_cast<uint32_t>(nrefs.size())});
+    if (runs_.size() >= UINT32_MAX) return false;
+    region_runs_[re + 1] = static_cast<uint32_t>(runs_.size());
+  }
+  runs_.shrink_to_fit();
+
+  // Postings: each run under every partition listing its trajectory, or
+  // once under kWidePartition; sorted by (partition, run) per region.
+  size_t num_postings = 0;
+  for (const Run& r : runs_) {
+    if (r.traj != kNoTraj) {
+      num_postings += span[r.traj] > kMaxPostedSpan ? 1 : span[r.traj];
+    }
+  }
+  if (num_postings >= UINT32_MAX) return false;
+  postings_.reserve(num_postings);
+  region_postings_.assign(num_regions + 1, 0);
+  for (size_t re = 0; re < num_regions; ++re) {
+    for (uint32_t run = region_runs_[re]; run + 1 < region_runs_[re + 1];
+         ++run) {
+      const uint32_t j = runs_[run].traj;
+      if (span[j] > kMaxPostedSpan) {
+        postings_.push_back({kWidePartition, run});
+        continue;
+      }
+      for (uint32_t k = part_begin[j]; k < part_begin[j + 1]; ++k) {
+        postings_.push_back({parts[k], run});
+      }
+    }
+    std::sort(postings_.begin() + region_postings_[re], postings_.end(),
+              [](const Posting& x, const Posting& y) {
+                return x.partition != y.partition ? x.partition < y.partition
+                                                  : x.run < y.run;
+              });
+    region_postings_[re + 1] = static_cast<uint32_t>(postings_.size());
+  }
+  return true;
 }
 
 void StiuIndex::Serialize(common::ByteWriter& out) const {
@@ -354,13 +456,21 @@ const StiuIndex::TemporalTuple& StiuIndex::TemporalTupleFor(
   return *it;
 }
 
-const std::vector<uint32_t>& StiuIndex::TrajectoriesAt(
-    traj::Timestamp t) const {
-  static const std::vector<uint32_t> kEmpty;
-  if (t < 0) return kEmpty;
+std::optional<size_t> StiuIndex::PartitionAt(traj::Timestamp t) const {
+  if (t < 0) return std::nullopt;
   const size_t p = static_cast<size_t>(t / params_.time_partition_s);
-  if (p >= partition_trajs_.size()) return kEmpty;
-  return partition_trajs_[p];
+  if (p >= partition_trajs_.size()) return std::nullopt;
+  return p;
+}
+
+StiuIndex::RunTuples StiuIndex::TuplesOf(network::RegionId re,
+                                         uint32_t j) const {
+  const Run* const first = runs_.data() + region_runs_[re];
+  const Run* const last = runs_.data() + region_runs_[re + 1] - 1;  // sentinel
+  const Run* it = std::lower_bound(
+      first, last, j, [](const Run& r, uint32_t v) { return r.traj < v; });
+  if (it == last || it->traj != j) return {};
+  return TuplesOfRun(re, static_cast<uint32_t>(it - runs_.data()));
 }
 
 size_t StiuIndex::temporal_size_bytes() const {
@@ -378,7 +488,9 @@ size_t StiuIndex::spatial_size_bytes() const {
 }
 
 size_t StiuIndex::SizeBytes() const {
-  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes();
+  return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes() +
+         runs_.size() * sizeof(Run) + postings_.size() * sizeof(Posting) +
+         (region_runs_.size() + region_postings_.size()) * sizeof(uint32_t);
 }
 
 }  // namespace utcq::core

@@ -30,6 +30,7 @@ void Accumulate(core::QueryStats* into, const core::QueryStats& from) {
   into->instances_decoded += from.instances_decoded;
   into->stream_bits_read += from.stream_bits_read;
   into->sync_seeks += from.sync_seeks;
+  into->tuples_scanned += from.tuples_scanned;
 }
 
 }  // namespace

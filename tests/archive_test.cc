@@ -414,6 +414,69 @@ TEST(Archive, RejectsStiuTuplePointingOutsideMetas) {
   EXPECT_NE(error.find("outside the metas"), std::string::npos) << error;
 }
 
+TEST(Archive, RejectsStiuListsTheDerivedRunsCannotTrust) {
+  // The loaded index derives per-region trajectory runs and partition
+  // postings from its lists, so a region list out of trajectory order or a
+  // partition list naming a trajectory that does not exist (or out of
+  // order) must fail LoadIndex; the same section in writer order opens.
+  ArchiveFixture fx;
+  ArchiveReader reader;
+  ASSERT_TRUE(reader.OpenBytes(
+      ArchiveWriter(fx.sys->compressed(), &fx.sys->index()).Serialize()));
+  ArchivePayload payload = reader.payload();
+  const uint32_t n = static_cast<uint32_t>(payload.metas.size());
+
+  // Every trajectory gets one temporal tuple and sits in partition 0;
+  // region 0 holds one ref tuple each of trajectories `region0[k]`.
+  const auto section = [&](const std::vector<uint32_t>& region0,
+                           const std::vector<uint32_t>& partition0) {
+    common::ByteWriter stiu;
+    stiu.PutVarint(16);                      // cells_per_side
+    stiu.PutSignedVarint(900);               // time_partition_s
+    stiu.PutVarint(n);                       // num_trajs
+    stiu.PutVarint(1);                       // num_partitions
+    stiu.PutVarint(fx.grid->num_regions());  // num_regions
+    for (uint32_t j = 0; j < n; ++j) {
+      stiu.PutVarint(1);  // one temporal tuple: t_start, t_no, t_pos
+      stiu.PutVarint(0);
+      stiu.PutVarint(0);
+      stiu.PutVarint(0);
+    }
+    stiu.PutVarint(partition0.size());
+    for (const uint32_t j : partition0) stiu.PutVarint(j);
+    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
+      stiu.PutVarint(re == 0 ? region0.size() : 0);
+      if (re != 0) continue;
+      for (const uint32_t j : region0) {
+        stiu.PutVarint(j);  // traj
+        stiu.PutVarint(0);  // ref_idx
+        stiu.PutU32(0);     // fv_id
+        stiu.PutVarint(0);  // fv_no
+        stiu.PutVarint(0);  // d_no
+        stiu.PutVarint(0);  // d_pos
+        stiu.PutF32(0.5f);
+        stiu.PutF32(0.5f);
+        stiu.PutU8(1);
+      }
+    }
+    for (uint32_t re = 0; re < fx.grid->num_regions(); ++re) {
+      stiu.PutVarint(0);  // no nref tuples
+    }
+    payload.stiu = stiu.Release();
+    ArchiveReader hostile;
+    std::string error;
+    EXPECT_TRUE(hostile.OpenBytes(EncodeArchive(payload), &error)) << error;
+    return hostile.LoadIndex(*fx.grid, &error) != nullptr;
+  };
+
+  EXPECT_TRUE(section({0, 1, 1, 2}, {0, 1, 2}));
+  EXPECT_FALSE(section({1, 0, 2}, {0, 1, 2}));      // region list unsorted
+  EXPECT_FALSE(section({0, 1, 2}, {0, 1, n}));      // id past the count
+  EXPECT_FALSE(section({0, 1, 2}, {0, 2, 1}));      // partition unsorted
+  EXPECT_FALSE(section({0, 1, 2}, {0, 1, 1, 2}));   // partition repeats
+  EXPECT_FALSE(section({0, n}, {0, 1, 2}));         // region id past count
+}
+
 TEST(Archive, OpenMissingFileFails) {
   ArchiveReader reader;
   std::string error;

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "archive/archive.h"
 #include "common/rng.h"
 #include "core/utcq.h"
 #include "network/generator.h"
@@ -14,15 +16,15 @@ namespace utcq::core {
 namespace {
 
 struct StiuFixture {
-  StiuFixture() {
+  explicit StiuFixture(int64_t time_partition_s = 900) {
     const auto profile = traj::ChengduProfile();
     net = test::MakeSmallCity(profile, 14);
     traj::UncertainTrajectoryGenerator gen(net, profile, 606);
     corpus = gen.GenerateCorpus(60);
     grid = std::make_unique<network::GridIndex>(net, 16);
     params.default_interval_s = profile.default_interval_s;
-    sys = std::make_unique<UtcqSystem>(net, *grid, corpus, params,
-                                       StiuParams{16, 900});
+    sys = std::make_unique<UtcqSystem>(
+        net, *grid, corpus, params, StiuParams{16, time_partition_s});
   }
   network::RoadNetwork net;
   traj::UncertainCorpus corpus;
@@ -153,6 +155,171 @@ TEST(StiuIndex, PaperExampleTuples) {
     EXPECT_NEAR(rt.p_max, 0.2, 0.01);    // max non-reference probability
   }
   EXPECT_TRUE(found);
+}
+
+/// Deterministic range queries over the fixture's extent, each at a
+/// timestamp some trajectory actually reports.
+std::vector<std::pair<network::Rect, traj::Timestamp>> RangeQueries(
+    const StiuFixture& fx, size_t count) {
+  common::Rng rng(1606);
+  const auto bbox = fx.net.bounding_box();
+  std::vector<std::pair<network::Rect, traj::Timestamp>> queries;
+  for (size_t i = 0; i < count; ++i) {
+    const auto& tu = fx.corpus[static_cast<size_t>(
+        rng.UniformInt(0, fx.corpus.size() - 1))];
+    const double cx = rng.Uniform(bbox.min_x, bbox.max_x);
+    const double cy = rng.Uniform(bbox.min_y, bbox.max_y);
+    const double half = rng.Uniform(100.0, 600.0);
+    queries.push_back({{cx - half, cy - half, cx + half, cy + half},
+                       tu.times[static_cast<size_t>(
+                           rng.UniformInt(0, tu.times.size() - 1))]});
+  }
+  return queries;
+}
+
+/// Brute-force Range work: every ref and nref tuple over RegionsInRect
+/// whose trajectory is active in tq's partition (its raw time span meets
+/// the partition, the membership the index records), or of every
+/// trajectory when `all_time`.
+uint64_t BruteForceTuples(const StiuFixture& fx, const network::Rect& rect,
+                          traj::Timestamp tq, bool all_time) {
+  const int64_t tps = fx.sys->index().time_partition_s();
+  const int64_t p = tq / tps;
+  const int64_t last_p = (traj::kSecondsPerDay + tps - 1) / tps - 1;
+  const auto active = [&](uint32_t j) {
+    const auto& times = fx.corpus[j].times;
+    return all_time || (times.front() / tps <= p &&
+                        p <= std::min(last_p, times.back() / tps));
+  };
+  uint64_t n = 0;
+  for (const network::RegionId re : fx.grid->RegionsInRect(rect)) {
+    for (const auto& rt : fx.sys->index().RefTuplesIn(re)) n += active(rt.traj);
+    for (const auto& nt : fx.sys->index().NrefTuplesIn(re)) {
+      n += active(nt.traj);
+    }
+  }
+  return n;
+}
+
+TEST(StiuIndex, RangeScansOnlyTheTrajectoriesActiveAtTq) {
+  // 900 s partitions post every run; 60 s partitions make many of the
+  // fixture's trajectories span more than the 8 partitions the index posts
+  // a run under, so their runs take the partition-list check instead.
+  for (const int64_t tps : {900, 60}) {
+    SCOPED_TRACE(tps);
+    StiuFixture fx(tps);
+    size_t multi_partition = 0;
+    size_t wide = 0;
+    for (const auto& tu : fx.corpus) {
+      const int64_t span = tu.times.back() / tps - tu.times.front() / tps + 1;
+      multi_partition += span > 1;
+      wide += span > 8;
+    }
+    ASSERT_GT(multi_partition, 0u);
+    if (tps == 60) ASSERT_GT(wide, 0u);
+    uint64_t scanned = 0;
+    uint64_t all_time = 0;
+    for (const auto& [rect, tq] : RangeQueries(fx, 60)) {
+      QueryStats stats;
+      fx.sys->queries().Range(rect, tq, 0.3, &stats);
+      EXPECT_EQ(stats.tuples_scanned, BruteForceTuples(fx, rect, tq, false));
+      scanned += stats.tuples_scanned;
+      all_time += BruteForceTuples(fx, rect, tq, true);
+    }
+    EXPECT_GT(scanned, 0u);
+    EXPECT_LT(scanned, all_time);
+  }
+}
+
+TEST(StiuIndex, RangeAnswersDoNotDependOnThePartitionSize) {
+  // The partition only narrows candidates; the answers are the same for
+  // posted runs (900 s), partition-list checked runs (60 s) and a single
+  // whole-day partition.
+  StiuFixture posted(900);
+  StiuFixture checked(60);
+  StiuFixture whole_day(traj::kSecondsPerDay);
+  size_t hits = 0;
+  for (const auto& [rect, tq] : RangeQueries(posted, 80)) {
+    for (const double alpha : {0.1, 0.5}) {
+      const auto expected = whole_day.sys->queries().Range(rect, tq, alpha);
+      EXPECT_EQ(posted.sys->queries().Range(rect, tq, alpha), expected);
+      EXPECT_EQ(checked.sys->queries().Range(rect, tq, alpha), expected);
+      hits += expected.size();
+    }
+  }
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(StiuIndex, RangeOutsideTheDayIsEmpty) {
+  StiuFixture fx;
+  const auto bbox = fx.net.bounding_box();
+  const network::Rect everywhere{bbox.min_x, bbox.min_y, bbox.max_x,
+                                 bbox.max_y};
+  for (const traj::Timestamp tq :
+       {traj::Timestamp{-1}, traj::Timestamp{-900}, traj::kSecondsPerDay,
+        traj::kSecondsPerDay + 3600}) {
+    QueryStats stats;
+    EXPECT_TRUE(fx.sys->queries().Range(everywhere, tq, 0.0, &stats).empty())
+        << tq;
+    EXPECT_EQ(stats.tuples_scanned, 0u) << tq;
+  }
+}
+
+TEST(StiuIndex, WhenScansOnlyTheTrajectorysRuns) {
+  StiuFixture fx;
+  const auto& qp = fx.sys->queries();
+  for (uint32_t j = 0; j < fx.corpus.size(); j += 3) {
+    const auto& path = fx.corpus[j].instances.front().path;
+    for (size_t k = 0; k < path.size(); k += 4) {
+      uint64_t expected = 0;
+      for (const network::RegionId re : fx.grid->RegionsOfEdge(path[k])) {
+        for (const auto& rt : fx.sys->index().RefTuplesIn(re)) {
+          expected += rt.traj == j;
+        }
+        for (const auto& nt : fx.sys->index().NrefTuplesIn(re)) {
+          expected += nt.traj == j;
+        }
+      }
+      QueryStats stats;
+      qp.When(j, path[k], 0.5, 0.1, &stats);
+      EXPECT_EQ(stats.tuples_scanned, expected) << "traj " << j;
+      EXPECT_GT(stats.tuples_scanned, 0u);
+    }
+  }
+}
+
+TEST(StiuIndex, ReloadedIndexScansAndAnswersIdentically) {
+  // The runs and postings are derived, not persisted: an index reopened
+  // from its archive must rebuild exactly the compressor-built structure.
+  StiuFixture fx;
+  archive::ArchiveReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.OpenBytes(
+      archive::ArchiveWriter(fx.sys->compressed(), &fx.sys->index())
+          .Serialize(),
+      &error))
+      << error;
+  const auto index = reader.LoadIndex(*fx.grid, &error);
+  ASSERT_NE(index, nullptr) << error;
+  const UtcqQueryProcessor reloaded(fx.net, reader.view(), *index);
+  EXPECT_EQ(index->SizeBytes(), fx.sys->index().SizeBytes());
+
+  for (const auto& [rect, tq] : RangeQueries(fx, 80)) {
+    QueryStats a;
+    QueryStats b;
+    EXPECT_EQ(fx.sys->queries().Range(rect, tq, 0.3, &a),
+              reloaded.Range(rect, tq, 0.3, &b));
+    EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
+    EXPECT_EQ(a.candidates, b.candidates);
+  }
+  for (uint32_t j = 0; j < fx.corpus.size(); j += 5) {
+    const auto& inst = fx.corpus[j].instances.front();
+    QueryStats a;
+    QueryStats b;
+    EXPECT_EQ(fx.sys->queries().When(j, inst.path.front(), 0.5, 0.1, &a),
+              reloaded.When(j, inst.path.front(), 0.5, 0.1, &b));
+    EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
+  }
 }
 
 }  // namespace
