@@ -382,7 +382,7 @@ SELF_TEST_CASES = [
      "src/net/x.h", "std::atomic<bool> stopping_{false};\n", []),
     ("atomic pointer stays legal everywhere",
      "src/strategies/x.cc",
-     "std::atomic<const Kernels*> g_active{nullptr};\n", []),
+     "constinit std::atomic<const Kernels*> g_active{&kScalar};\n", []),
     ("obs::Counter inside src/obs keeps its atomic",
      "src/obs/metrics.h",
      "  void Add(uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }\n",

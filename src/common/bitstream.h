@@ -82,10 +82,7 @@ class BitReader {
 
   // The four read primitives are defined in-class and force-inlined: they
   // are the innermost ops of every decode kernel, and a call per bit/field
-  // would dominate at these sizes. always_inline also keeps each strategy
-  // TU's copy compiled under that TU's own ISA flags with no out-of-line
-  // body a linker could merge across differently-flagged TUs (the ODR
-  // hazard documented in strategies/word_kernels.h).
+  // would dominate at these sizes.
 #define UTCQ_BITSTREAM_INLINE inline __attribute__((always_inline))
 
   /// Reads one bit. Reading past the end returns 0 and sets overflow().
@@ -197,10 +194,6 @@ class BitReader {
 
   /// Repositions the cursor to absolute bit `pos`.
   void Seek(size_t pos) { pos_ = pos; }
-
-  /// Backing bytes (for strategy kernels that assemble words themselves;
-  /// (size_bits() + 7) / 8 bytes are readable).
-  const uint8_t* data() const { return data_; }
 
   size_t position() const { return pos_; }
   size_t size_bits() const { return size_bits_; }

@@ -16,9 +16,8 @@ void PutVarint(BitWriter& w, uint64_t value) {
 
 uint64_t GetVarint(BitReader& r) {
   // Varints frame every stream (lengths, counts), so their reads go through
-  // the active kernel table like every other decode read: a continuation
-  // bit plus a 7-bit group per byte is 8 bit-at-a-time reads under the
-  // kBitloop tier, exactly what the pre-dispatch decoder paid.
+  // the active kernel table like every other decode read, and the kBitloop
+  // reference the differential tests swap in covers them too.
   const strategies::Kernels& ks = strategies::Active();
   uint64_t value = 0;
   int shift = 0;

@@ -249,8 +249,7 @@ uint64_t UtcqDecoder::DecodeNonReferenceInto(size_t j, uint32_t nref_idx,
   r.Seek(nm.offset);
   // Every fixed-width read below goes through the active kernel table:
   // these factor loops are the hottest part of non-reference decode, and
-  // the kBitloop tier must replicate the pre-dispatch bit-at-a-time cost
-  // to stay an honest benchmark baseline.
+  // the kBitloop reference the differential tests swap in must cover them.
   const strategies::Kernels& ks = strategies::Active();
 
   // --- E factors ---

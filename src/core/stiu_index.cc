@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/exp_golomb.h"
 #include "common/varint.h"
@@ -55,7 +56,8 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
       static_cast<size_t>((traj::kSecondsPerDay + params_.time_partition_s - 1) /
                           params_.time_partition_s);
   temporal_.resize(corpus.size());
-  partition_trajs_.resize(partitions);
+  // First and last partition each trajectory is active in.
+  std::vector<std::pair<size_t, size_t>> active(corpus.size());
   region_refs_.resize(grid.num_regions());
   region_nrefs_.resize(grid.num_regions());
 
@@ -91,9 +93,7 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
       const size_t last_p = std::min(
           partitions - 1,
           static_cast<size_t>(tu.times.back() / params_.time_partition_s));
-      for (size_t p = first_p; p <= last_p; ++p) {
-        partition_trajs_[p].push_back(static_cast<uint32_t>(j));
-      }
+      active[j] = {first_p, last_p};
     }
 
     // ---- spatial tuples ----
@@ -202,6 +202,24 @@ StiuIndex::StiuIndex(const network::RoadNetwork& net,
       region_refs_[static_cast<network::RegionId>(key >> 20)].push_back(rt);
     }
   }
+
+  // Partition lists: count, then fill in trajectory order so every list
+  // comes out ascending.
+  partition_begin_.assign(partitions + 1, 0);
+  for (const auto& [first, last] : active) {
+    for (size_t p = first; p <= last; ++p) ++partition_begin_[p + 1];
+  }
+  for (size_t p = 0; p < partitions; ++p) {
+    partition_begin_[p + 1] += partition_begin_[p];
+  }
+  partition_trajs_.resize(partition_begin_.back());
+  std::vector<uint32_t> next(partition_begin_.begin(),
+                             partition_begin_.end() - 1);
+  for (size_t j = 0; j < active.size(); ++j) {
+    for (size_t p = active[j].first; p <= active[j].second; ++p) {
+      partition_trajs_[next[p]++] = static_cast<uint32_t>(j);
+    }
+  }
   BuildRuns();  // lists are sorted and in range by construction
 }
 
@@ -241,15 +259,24 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
       t.t_pos = in.GetVarint();
     }
   }
-  partition_trajs_.resize(num_partitions);
-  for (auto& trajs : partition_trajs_) {
+  // One offset per declared partition, not one container: a section
+  // declaring many empty partitions costs 4 B each.
+  partition_begin_.reserve(num_partitions + 1);
+  partition_begin_.push_back(0);
+  for (uint64_t p = 0; p < num_partitions; ++p) {
     const uint64_t n = in.GetVarint();
     if (bad_count(n)) {
       in.Skip(in.remaining() + 1);
       break;
     }
-    trajs.resize(n);
-    for (auto& j : trajs) j = static_cast<uint32_t>(in.GetVarint());
+    for (uint64_t i = 0; i < n; ++i) {
+      // Saturate rather than truncate: an id past 32 bits must fail
+      // BuildRuns' range check, not alias a valid trajectory.
+      partition_trajs_.push_back(static_cast<uint32_t>(
+          std::min<uint64_t>(in.GetVarint(), UINT32_MAX)));
+    }
+    partition_begin_.push_back(
+        static_cast<uint32_t>(partition_trajs_.size()));
   }
   region_refs_.resize(num_regions);
   for (auto& tuples : region_refs_) {
@@ -293,6 +320,7 @@ StiuIndex::StiuIndex(const network::GridIndex& grid, common::ByteReader& in)
   if (in.ok() && !BuildRuns()) in.Skip(in.remaining() + 1);
   if (!in.ok()) {
     temporal_.clear();
+    partition_begin_.clear();
     partition_trajs_.clear();
     region_refs_.clear();
     region_nrefs_.clear();
@@ -308,19 +336,20 @@ bool StiuIndex::BuildRuns() {
   const size_t num_regions = region_refs_.size();
   // Partitions each trajectory is listed in; the lists must be strictly
   // ascending, as the writer emits them and ForEachActiveRun searches them.
-  if (partition_trajs_.size() >= kWidePartition) return false;
+  const size_t listed = partition_trajs_.size();
+  if (num_partitions() >= kWidePartition || listed >= UINT32_MAX) {
+    return false;
+  }
   std::vector<uint32_t> span(num_trajs, 0);
-  size_t listed = 0;
-  for (const auto& trajs : partition_trajs_) {
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    const std::span<const uint32_t> trajs = TrajsIn(p);
     for (size_t i = 0; i < trajs.size(); ++i) {
       if (trajs[i] >= num_trajs || (i > 0 && trajs[i] <= trajs[i - 1])) {
         return false;
       }
       ++span[trajs[i]];
     }
-    listed += trajs.size();
   }
-  if (listed >= UINT32_MAX) return false;
   // Each trajectory's partitions, ascending (a CSR over part_begin).
   std::vector<uint32_t> part_begin(num_trajs + 1, 0);
   for (size_t j = 0; j < num_trajs; ++j) {
@@ -329,8 +358,8 @@ bool StiuIndex::BuildRuns() {
   std::vector<uint32_t> parts(listed);
   {
     std::vector<uint32_t> next(part_begin.begin(), part_begin.end() - 1);
-    for (uint32_t p = 0; p < partition_trajs_.size(); ++p) {
-      for (const uint32_t j : partition_trajs_[p]) parts[next[j]++] = p;
+    for (uint32_t p = 0; p < num_partitions(); ++p) {
+      for (const uint32_t j : TrajsIn(p)) parts[next[j]++] = p;
     }
   }
 
@@ -401,7 +430,7 @@ void StiuIndex::Serialize(common::ByteWriter& out) const {
   out.PutSignedVarint(params_.time_partition_s);
 
   out.PutVarint(temporal_.size());
-  out.PutVarint(partition_trajs_.size());
+  out.PutVarint(num_partitions());
   out.PutVarint(region_refs_.size());
 
   for (const auto& tuples : temporal_) {
@@ -415,7 +444,8 @@ void StiuIndex::Serialize(common::ByteWriter& out) const {
       out.PutVarint(t.t_pos);
     }
   }
-  for (const auto& trajs : partition_trajs_) {
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    const std::span<const uint32_t> trajs = TrajsIn(p);
     out.PutVarint(trajs.size());
     for (const uint32_t j : trajs) out.PutVarint(j);
   }
@@ -459,7 +489,7 @@ const StiuIndex::TemporalTuple& StiuIndex::TemporalTupleFor(
 std::optional<size_t> StiuIndex::PartitionAt(traj::Timestamp t) const {
   if (t < 0) return std::nullopt;
   const size_t p = static_cast<size_t>(t / params_.time_partition_s);
-  if (p >= partition_trajs_.size()) return std::nullopt;
+  if (p >= num_partitions()) return std::nullopt;
   return p;
 }
 
@@ -476,8 +506,7 @@ StiuIndex::RunTuples StiuIndex::TuplesOf(network::RegionId re,
 size_t StiuIndex::temporal_size_bytes() const {
   size_t bytes = 0;
   for (const auto& v : temporal_) bytes += v.size() * sizeof(TemporalTuple);
-  for (const auto& v : partition_trajs_) bytes += v.size() * sizeof(uint32_t);
-  return bytes;
+  return bytes + partition_trajs_.size() * sizeof(uint32_t);
 }
 
 size_t StiuIndex::spatial_size_bytes() const {
@@ -490,7 +519,9 @@ size_t StiuIndex::spatial_size_bytes() const {
 size_t StiuIndex::SizeBytes() const {
   return sizeof(*this) + temporal_size_bytes() + spatial_size_bytes() +
          runs_.size() * sizeof(Run) + postings_.size() * sizeof(Posting) +
-         (region_runs_.size() + region_postings_.size()) * sizeof(uint32_t);
+         (partition_begin_.size() + region_runs_.size() +
+          region_postings_.size()) *
+             sizeof(uint32_t);
 }
 
 }  // namespace utcq::core

@@ -149,7 +149,7 @@ class StiuIndex {
   };
   /// A run active in `partition`. Runs of trajectories spanning more than
   /// kMaxPostedSpan partitions are posted once under kWidePartition and
-  /// checked against partition_trajs_ at query time instead, so the
+  /// checked against TrajsIn(partition) at query time instead, so the
   /// postings stay O(runs) whatever the partition count and spans.
   struct Posting {
     uint32_t partition = 0;
@@ -164,6 +164,16 @@ class StiuIndex {
   /// trajectory out of range, or outgrows the 32-bit run and posting ids.
   bool BuildRuns();
 
+  size_t num_partitions() const {
+    return partition_begin_.empty() ? 0 : partition_begin_.size() - 1;
+  }
+
+  /// Trajectories active in partition `p`, ascending.
+  std::span<const uint32_t> TrajsIn(size_t p) const {
+    return {partition_trajs_.data() + partition_begin_[p],
+            partition_trajs_.data() + partition_begin_[p + 1]};
+  }
+
   RunTuples TuplesOfRun(network::RegionId re, uint32_t run) const {
     const Run& r = runs_[run];
     const Run& next = runs_[run + 1];
@@ -176,7 +186,10 @@ class StiuIndex {
   const network::GridIndex& grid_;
   StiuParams params_;
   std::vector<std::vector<TemporalTuple>> temporal_;   // [traj]
-  std::vector<std::vector<uint32_t>> partition_trajs_; // [partition]
+  // Partition lists as one CSR: partition p lists
+  // partition_trajs_[partition_begin_[p], partition_begin_[p + 1]).
+  std::vector<uint32_t> partition_begin_;              // [partition + 1]
+  std::vector<uint32_t> partition_trajs_;              // partition-major
   std::vector<std::vector<RefTuple>> region_refs_;     // [region]
   std::vector<std::vector<NrefTuple>> region_nrefs_;   // [region]
   // Derived by BuildRuns, never persisted.
@@ -194,7 +207,7 @@ void StiuIndex::ForEachActiveRun(network::RegionId re, size_t p,
       postings_.data() + region_postings_[re], last, p,
       [](const Posting& a, size_t v) { return a.partition < v; });
   for (; it != last && it->partition == p; ++it) fn(TuplesOfRun(re, it->run));
-  const std::vector<uint32_t>& active = partition_trajs_[p];
+  const std::span<const uint32_t> active = TrajsIn(p);
   for (it = std::lower_bound(
            it, last, kWidePartition,
            [](const Posting& a, uint32_t v) { return a.partition < v; });

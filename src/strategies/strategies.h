@@ -3,37 +3,26 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "common/bitstream.h"
 
 namespace utcq::strategies {
 
-/// Kernel tiers, ordered worst to best. Following kvazaar's `strategies/`
-/// idiom, every tier implements the same kernel contract and one table is
-/// picked at startup from CPUID; `UTCQ_STRATEGY` overrides the pick for
-/// testing (the strategy-matrix ctest pass forces each tier in turn).
+/// The decode kernel contract, as a table of function pointers. Two tables
+/// implement it (DESIGN.md §12):
 ///
-///  - kBitloop: the pre-optimization bit-at-a-time reference loops. Never
-///    auto-selected; kept as the honest baseline the SIMD speedup claims
-///    are measured against (bench_decode) and the oracle the other tiers
-///    are differential-pinned to.
-///  - kScalar: portable word-at-a-time kernels (64-bit loads + shift/mask,
-///    clz-based unary scans). The floor every build has.
-///  - kAvx2: adds 256-bit batched kernels (multi-field extraction via
-///    variable shifts, bit-unpacking, 4-wide double interpolation) and
-///    LZCNT unary scans.
-enum class Tier : uint8_t { kBitloop = 0, kScalar = 1, kAvx2 = 2 };
-
-inline constexpr int kNumTiers = 3;
-
-/// The dispatch table. Every kernel is bit-exact against the kBitloop
-/// reference: identical return values, identical cursor positions on
-/// success paths, and identical overflow()-latch behaviour on truncated or
-/// structurally invalid input (DESIGN.md §12 states the full contract).
+///  - kScalar: the production kernels — portable word-at-a-time reads
+///    (64-bit loads + shift/mask, clz-based unary scans). Active() starts
+///    on it on every host.
+///  - kBitloop: the bit-at-a-time reference loops. Never active in
+///    production; tests swap it in through SetActive as the oracle the
+///    word kernels are differential-pinned to.
+///
+/// Every kScalar kernel is bit-exact against kBitloop: identical return
+/// values, identical cursor positions on success paths, and identical
+/// overflow()-latch behaviour on truncated or structurally invalid input.
 /// Floating-point kernels perform the same elementwise operation sequence
-/// as the scalar code and are built without FMA contraction, so doubles
-/// are identical across tiers too.
+/// in both tables, so doubles are identical too.
 struct Kernels {
   /// Fixed-width MSB-first field read; contract of BitReader::GetBits.
   uint64_t (*get_bits)(common::BitReader& r, int width);
@@ -61,9 +50,9 @@ struct Kernels {
 
   /// Up to `n` improved Exp-Golomb deltas (the shared-times stream) into
   /// out: exactly the per-symbol composition scan_one_run(62) + sign +
-  /// offset, batched so the calls stay inside one tier's TU. Returns how
-  /// many symbols decoded cleanly; a short count means overflow() latched
-  /// on the next symbol (whose bits are consumed but not stored).
+  /// offset, batched so the calls inline into one loop. Returns how many
+  /// symbols decoded cleanly; a short count means overflow() latched on
+  /// the next symbol (whose bits are consumed but not stored).
   size_t (*decode_ieg)(common::BitReader& r, int64_t* out, size_t n);
 
   /// `n` PDDP codes into out[0..n): composition of n pddp_decode calls
@@ -82,34 +71,18 @@ struct Kernels {
   void (*mul_add)(const double* base, const double* x, const double* scale,
                   double* out, size_t n);
 
-  Tier tier;
   const char* name;
 };
 
-/// The active table. Resolved exactly once, on first call: the best
-/// CPUID-supported tier, unless the UTCQ_STRATEGY environment variable
-/// names a supported tier ("scalar", "avx2", "bitloop"). An env
-/// value naming an unsupported or unknown tier falls back to the best
-/// supported one (the strategy-matrix runner refuses to launch tests on
-/// hosts lacking the forced tier instead — SKIP, never a silent PASS).
+extern const Kernels kScalar;
+extern const Kernels kBitloop;
+
+/// The active table: kScalar unless a test swapped in another.
 const Kernels& Active();
 
-/// True when `tier`'s kernels are compiled in and the CPU can run them.
-bool TierSupported(Tier tier);
-
-/// Best tier this build + CPU supports (never kBitloop).
-Tier BestSupportedTier();
-
-/// `tier`'s table, or nullptr when unsupported.
-const Kernels* KernelsFor(Tier tier);
-
-/// Swaps the active table (benchmarks and the per-tier differential
-/// tests). Returns false — leaving the active table unchanged — when the
-/// tier is unsupported. Not safe to call concurrently with decoding.
-bool SetActive(Tier tier);
-
-const char* TierName(Tier tier);
-bool ParseTier(std::string_view name, Tier* out);
+/// Swaps the active table (the differential tests swap in kBitloop). Not
+/// safe to call concurrently with decoding.
+void SetActive(const Kernels& kernels);
 
 }  // namespace utcq::strategies
 

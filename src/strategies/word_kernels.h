@@ -1,13 +1,10 @@
 #ifndef UTCQ_STRATEGIES_WORD_KERNELS_H_
 #define UTCQ_STRATEGIES_WORD_KERNELS_H_
 
-// Kernel bodies shared by the per-tier translation units. Include this ONLY
-// from kernels_*.cc files. Everything lives in an anonymous namespace on
-// purpose: each tier TU is compiled with different ISA flags, and giving
-// these functions external (or `inline`) linkage would let the linker merge
-// an AVX2-compiled body into the scalar table — an ODR violation that would
-// crash older CPUs. Internal linkage means every TU carries its own copy,
-// compiled under exactly its own flags.
+// Kernel bodies behind the two tables in strategies.cc; include this only
+// from there. Internal linkage lets the compiler inline the bodies into one
+// another (the batched kernels call the scans and field reads directly)
+// without exporting any of them.
 
 #include <algorithm>
 #include <cmath>
@@ -20,35 +17,23 @@ namespace utcq::strategies {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bit-at-a-time reference kernels (the kBitloop tier). These replicate the
+// Bit-at-a-time reference kernels (kBitloop). These replicate the
 // pre-optimization loops byte-for-byte — including which bits get consumed
 // before overflow latches on truncated or overlong input — because they are
-// the oracle the word/SIMD kernels are differential-pinned against, and the
-// baseline bench_decode measures speedups from.
+// the oracle the word kernels are differential-pinned against.
 // ---------------------------------------------------------------------------
 
-// The seed decoder pulled every bit through an out-of-line
-// BitReader::GetBit call. BitReader's primitives are force-inlined now (an
-// optimization this PR made for the word kernels), so the reference tier
-// routes each bit through this noinline shim: the baseline must keep
-// paying the per-bit call the pre-optimization code paid, not silently
-// inherit the PR's own improvements into the denominator of its speedups.
-[[maybe_unused]] __attribute__((noinline)) bool BitloopGetBit(
-    common::BitReader& r) {
-  return r.GetBit();
-}
-
-[[maybe_unused]] uint64_t BitloopGetBits(common::BitReader& r, int width) {
+uint64_t BitloopGetBits(common::BitReader& r, int width) {
   uint64_t v = 0;
   for (int i = 0; i < width; ++i) {
-    v = (v << 1) | static_cast<uint64_t>(BitloopGetBit(r));
+    v = (v << 1) | static_cast<uint64_t>(r.GetBit());
   }
   return v;
 }
 
-[[maybe_unused]] int BitloopScanZeroRun(common::BitReader& r, int max_run) {
+int BitloopScanZeroRun(common::BitReader& r, int max_run) {
   int n = 0;
-  while (!BitloopGetBit(r)) {
+  while (!r.GetBit()) {
     ++n;
     if (r.overflow()) return -1;
     if (n > max_run) {
@@ -59,9 +44,9 @@ namespace {
   return n;
 }
 
-[[maybe_unused]] int BitloopScanOneRun(common::BitReader& r, int max_run) {
+int BitloopScanOneRun(common::BitReader& r, int max_run) {
   int j = 0;
-  while (BitloopGetBit(r)) {
+  while (r.GetBit()) {
     ++j;
     if (r.overflow()) return -1;
     if (j > max_run) {
@@ -75,20 +60,20 @@ namespace {
   return j;
 }
 
-[[maybe_unused]] void BitloopReadFields(common::BitReader& r, int width, uint32_t* out,
+void BitloopReadFields(common::BitReader& r, int width, uint32_t* out,
                        size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint32_t>(BitloopGetBits(r, width));
   }
 }
 
-[[maybe_unused]] void BitloopUnpackBits(common::BitReader& r, uint8_t* out, size_t n) {
+void BitloopUnpackBits(common::BitReader& r, uint8_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = BitloopGetBit(r) ? 1 : 0;
+    out[i] = r.GetBit() ? 1 : 0;
   }
 }
 
-[[maybe_unused]] double BitloopPddpDecode(common::BitReader& r, int length_bits, int max_bits) {
+double BitloopPddpDecode(common::BitReader& r, int length_bits, int max_bits) {
   const int length = static_cast<int>(BitloopGetBits(r, length_bits));
   if (length > max_bits) {
     r.MarkOverflow();
@@ -99,8 +84,7 @@ namespace {
   return static_cast<double>(code) / std::ldexp(1.0, length);
 }
 
-[[maybe_unused]] size_t BitloopDecodeIeg(common::BitReader& r, int64_t* out,
-                                         size_t n) {
+size_t BitloopDecodeIeg(common::BitReader& r, int64_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const int j = BitloopScanOneRun(r, 62);
     int64_t delta = 0;
@@ -117,24 +101,24 @@ namespace {
   return n;
 }
 
-[[maybe_unused]] void BitloopPddpRun(common::BitReader& r, int length_bits,
-                                     int max_bits, double* out, size_t n) {
+void BitloopPddpRun(common::BitReader& r, int length_bits, int max_bits,
+                    double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = BitloopPddpDecode(r, length_bits, max_bits);
   }
 }
 
 // The interpolation loops predate batching, so the "reference" is simply
-// the same elementwise arithmetic; all tiers share one expression (and no
-// tier is compiled with FMA contraction) so doubles match bit-for-bit.
-[[maybe_unused]] void ScalarLerp(const double* d0, const double* d1, double f, double* out,
+// the same elementwise arithmetic; both tables share these bodies, so
+// doubles match bit-for-bit.
+void ScalarLerp(const double* d0, const double* d1, double f, double* out,
                 size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = d0[i] + (d1[i] - d0[i]) * f;
   }
 }
 
-[[maybe_unused]] void ScalarMulAdd(const double* base, const double* x, const double* scale,
+void ScalarMulAdd(const double* base, const double* x, const double* scale,
                   double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = base[i] + x[i] * scale[i];
@@ -142,18 +126,17 @@ namespace {
 }
 
 // ---------------------------------------------------------------------------
-// Word-at-a-time kernels (kScalar; recompiled with AVX2 flags by the kAvx2
-// tier). Built on BitReader::PeekBits64, whose phantom-zero masking
-// of the stream tail makes run scans safe on untrusted archives.
+// Word-at-a-time kernels (kScalar). Built on BitReader::PeekBits64, whose
+// phantom-zero masking of the stream tail makes run scans safe on
+// untrusted archives.
 // ---------------------------------------------------------------------------
 
-[[maybe_unused]] int Clz64(uint64_t w) {
-  // __builtin_clzll is undefined at 0; with -mlzcnt the branch compiles to
-  // the lzcnt instruction's native 0 -> 64.
+int Clz64(uint64_t w) {
+  // __builtin_clzll is undefined at 0.
   return w == 0 ? 64 : __builtin_clzll(w);
 }
 
-[[maybe_unused]] uint64_t WordGetBits(common::BitReader& r, int width) {
+uint64_t WordGetBits(common::BitReader& r, int width) {
   return r.GetBits(width);
 }
 
@@ -164,7 +147,7 @@ namespace {
 // the end of the stream consumes every remaining bit then latches
 // overflow. Codec callers cap runs below 64, but the kernel contract takes
 // any max_run >= 0, so a window full of run bits loops to the next one.
-[[maybe_unused]] int ScanRunWindows(common::BitReader& r, bool ones, int max_run) {
+int ScanRunWindows(common::BitReader& r, bool ones, int max_run) {
   int run = 0;  // run bits consumed by earlier windows (always <= max_run)
   while (true) {
     const size_t rem = r.remaining();
@@ -202,7 +185,7 @@ namespace {
   }
 }
 
-[[maybe_unused]] int WordScanZeroRun(common::BitReader& r, int max_run) {
+int WordScanZeroRun(common::BitReader& r, int max_run) {
   // A reader whose overflow already latched takes the bitloop path: the
   // reference loops check overflow() mid-run and bail after one bit, and
   // the poisoned-stream case is not worth a second semantics.
@@ -210,18 +193,18 @@ namespace {
   return ScanRunWindows(r, /*ones=*/false, max_run);
 }
 
-[[maybe_unused]] int WordScanOneRun(common::BitReader& r, int max_run) {
+int WordScanOneRun(common::BitReader& r, int max_run) {
   if (r.overflow()) return BitloopScanOneRun(r, max_run);
   return ScanRunWindows(r, /*ones=*/true, max_run);
 }
 
-[[maybe_unused]] void WordReadFields(common::BitReader& r, int width, uint32_t* out, size_t n) {
+void WordReadFields(common::BitReader& r, int width, uint32_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint32_t>(r.GetBits(width));
   }
 }
 
-[[maybe_unused]] void WordUnpackBits(common::BitReader& r, uint8_t* out, size_t n) {
+void WordUnpackBits(common::BitReader& r, uint8_t* out, size_t n) {
   size_t i = 0;
   while (i < n && r.remaining() >= 64) {
     const uint64_t w = r.PeekBits64();
@@ -238,13 +221,12 @@ namespace {
 }
 
 // Batch of improved Exp-Golomb deltas. The win over per-symbol dispatch is
-// that the scan and field reads below are direct intra-TU calls the
-// compiler inlines, keeping the reader state in registers across symbols —
+// that the scan and field reads below are direct calls the compiler
+// inlines, keeping the reader state in registers across symbols —
 // at one-bit group-0 codes the indirect call was most of the cost. The
 // sign bit and the j-bit offset are one (j + 1)-bit read: same consumed
 // bits, and the sign lands in the extracted word's MSB.
-[[maybe_unused]] size_t WordDecodeIeg(common::BitReader& r, int64_t* out,
-                                      size_t n) {
+size_t WordDecodeIeg(common::BitReader& r, int64_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const int j = WordScanOneRun(r, 62);
     int64_t delta = 0;
@@ -261,7 +243,7 @@ namespace {
   return n;
 }
 
-[[maybe_unused]] double WordPddpDecode(common::BitReader& r, int length_bits, int max_bits) {
+double WordPddpDecode(common::BitReader& r, int length_bits, int max_bits) {
   if (length_bits > 0 && r.remaining() >= 64) {
     const uint64_t w = r.PeekBits64();
     const int length = static_cast<int>(w >> (64 - length_bits));
@@ -297,8 +279,8 @@ namespace {
   return static_cast<double>(code) / std::ldexp(1.0, length);
 }
 
-[[maybe_unused]] void WordPddpRun(common::BitReader& r, int length_bits,
-                                  int max_bits, double* out, size_t n) {
+void WordPddpRun(common::BitReader& r, int length_bits, int max_bits,
+                 double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = WordPddpDecode(r, length_bits, max_bits);
   }

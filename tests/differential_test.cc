@@ -254,12 +254,12 @@ void ExpectPartialOnly(const serve::EngineStats& stats) {
   EXPECT_EQ(stats.cache_resident_bytes, 0u);
 }
 
-// ----------------------------------------------------------- tier plumbing
+// -------------------------------------------------------------- temp files
 
 std::string TempPath(const std::string& name) {
-  // Seed-keyed names alone collide when the strategy matrix runs several
-  // tier variants of this binary concurrently under ctest -j; the pid keeps
-  // each process's archives (and any debris from an aborted run) private.
+  // Seed-keyed names alone collide when two runs of this binary share the
+  // temp dir at once; the pid keeps each process's archives (and any
+  // debris from an aborted run) private.
   return ::testing::TempDir() + "/pid" + std::to_string(::getpid()) + "_" +
          name;
 }

@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "archive/archive.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/utcq.h"
 #include "network/generator.h"
 #include "paper_example.h"
@@ -319,6 +321,62 @@ TEST(StiuIndex, ReloadedIndexScansAndAnswersIdentically) {
     EXPECT_EQ(fx.sys->queries().When(j, inst.path.front(), 0.5, 0.1, &a),
               reloaded.When(j, inst.path.front(), 0.5, 0.1, &b));
     EXPECT_EQ(a.tuples_scanned, b.tuples_scanned);
+  }
+}
+
+/// A StIU section over `grid`: `num_trajs` trajectories without temporal
+/// tuples, the given partition lists, and no spatial tuples.
+std::vector<uint8_t> CraftedSection(
+    const network::GridIndex& grid, uint64_t num_trajs,
+    const std::vector<std::vector<uint64_t>>& partitions) {
+  common::ByteWriter w;
+  w.PutVarint(16);       // cells_per_side
+  w.PutSignedVarint(1);  // time_partition_s
+  w.PutVarint(num_trajs);
+  w.PutVarint(partitions.size());
+  w.PutVarint(grid.num_regions());
+  for (uint64_t j = 0; j < num_trajs; ++j) w.PutVarint(0);
+  for (const auto& trajs : partitions) {
+    w.PutVarint(trajs.size());
+    for (const uint64_t j : trajs) w.PutVarint(j);
+  }
+  for (size_t re = 0; re < 2 * grid.num_regions(); ++re) w.PutVarint(0);
+  return w.bytes();
+}
+
+TEST(StiuIndex, DeclaredPartitionsCostAtMostEightBytesEach) {
+  // One-second partitions, all empty: the reader must not allocate a
+  // container per declared partition. SizeBytes() counts the partition
+  // offsets, so it bounds what the lists allocate.
+  const auto profile = traj::ChengduProfile();
+  const auto net = test::MakeSmallCity(profile, 14);
+  const network::GridIndex grid(net, 16);
+  const auto size_with = [&grid](size_t partitions) {
+    const auto bytes = CraftedSection(
+        grid, 0, std::vector<std::vector<uint64_t>>(partitions));
+    common::ByteReader in(bytes);
+    const StiuIndex index(grid, in);
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(index.PartitionAt(static_cast<traj::Timestamp>(partitions)),
+              std::nullopt);
+    EXPECT_EQ(index.PartitionAt(static_cast<traj::Timestamp>(partitions - 1)),
+              partitions - 1);
+    return index.SizeBytes();
+  };
+  constexpr size_t kDay = 86400;
+  EXPECT_LE(size_with(kDay) - size_with(1), 8 * (kDay - 1));
+}
+
+TEST(StiuIndex, PartitionIdsPastThirtyTwoBitsAreRejected) {
+  // 2^32 would truncate to trajectory 0, a valid id.
+  const auto profile = traj::ChengduProfile();
+  const auto net = test::MakeSmallCity(profile, 14);
+  const network::GridIndex grid(net, 16);
+  for (const uint64_t id : {uint64_t{0}, uint64_t{1} << 32}) {
+    const auto bytes = CraftedSection(grid, 1, {{id}});
+    common::ByteReader in(bytes);
+    const StiuIndex index(grid, in);
+    EXPECT_EQ(in.ok(), id == 0) << id;
   }
 }
 
